@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "engine benchmarks written to %s\n", *engineBench)
-		if err := checkObsOverhead(report, out); err != nil {
+		if err := checkObsOverhead(report, benchNsPerOp, out); err != nil {
 			return err
 		}
 		if *benchBaseline != "" {

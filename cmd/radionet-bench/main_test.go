@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,13 +101,27 @@ func TestParallelFlagDeterminism(t *testing.T) {
 	}
 }
 
+// TestEngineBenchReport checks the -engine-bench report's schema and its
+// allocation invariants. It measures through measureEngineBench rather than
+// run: the -engine-bench command also applies checkObsOverhead, a wall-clock
+// gate that belongs to the CI bench job, not to go test.
 func TestEngineBenchReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine benches take several seconds")
 	}
+	fresh, err := measureEngineBench(false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-engine-bench", path}, &buf); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeEngineBench(fresh, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -135,8 +150,9 @@ func TestEngineBenchReport(t *testing.T) {
 		byName[r.Name] = r
 	}
 	// The tracked engine invariant: the sequential step loop is
-	// allocation-free.
-	for _, name := range []string{"seq_dense_n1024", "seq_sparse_n4096_live64"} {
+	// allocation-free, SINR transmit storms included.
+	for _, name := range []string{"seq_dense_n1024", "seq_sparse_n4096_live64",
+		"seq_sinr_n1024", "seq_sinr_n4096", "seq_sinr_storm_n8192", "seq_sinr_n65536"} {
 		if r, ok := byName[name]; !ok {
 			t.Fatalf("missing bench %s", name)
 		} else if r.AllocsPerOp != 0 {
@@ -145,6 +161,40 @@ func TestEngineBenchReport(t *testing.T) {
 	}
 	if len(report.SeedBaseline) == 0 {
 		t.Fatal("seed baseline missing")
+	}
+}
+
+// TestObsOverheadMedianOfPairs drives checkObsOverhead with a scripted
+// measure: one pair spoiled by a load spike on the _obs side must not fail
+// the gate, while a steady 5% tax must, and the pairs must alternate which
+// side runs first.
+func TestObsOverheadMedianOfPairs(t *testing.T) {
+	report := EngineBenchReport{Benchmarks: []EngineBenchResult{{Name: "row"}, {Name: "row_obs"}, {Name: "other"}}}
+	scripted := func(obsNs []float64) (func(string) float64, *[]string) {
+		var order []string
+		pair := 0
+		return func(name string) float64 {
+			order = append(order, name)
+			if name == "row" {
+				return 100
+			}
+			ns := obsNs[pair]
+			pair++
+			return ns
+		}, &order
+	}
+	var log bytes.Buffer
+	spike, order := scripted([]float64{101, 100, 180, 102, 100})
+	if err := checkObsOverhead(report, spike, &log); err != nil {
+		t.Fatalf("one spiked pair failed the gate: %v", err)
+	}
+	want := []string{"row", "row_obs", "row_obs", "row", "row", "row_obs", "row_obs", "row", "row", "row_obs"}
+	if !slices.Equal(*order, want) {
+		t.Fatalf("measurement order %v, want alternating pairs %v", *order, want)
+	}
+	steady, _ := scripted([]float64{105, 104, 106, 105, 105})
+	if err := checkObsOverhead(report, steady, &log); err == nil {
+		t.Fatal("a steady 5% overhead passed the 3% gate")
 	}
 }
 

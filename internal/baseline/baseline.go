@@ -59,7 +59,7 @@ func (d *decayNode) Act(step int) radio.Action {
 		return radio.Listen()
 	}
 	level := step%d.levels + 1
-	if d.rng.Bernoulli(math.Pow(2, -float64(level))) {
+	if d.rng.Bernoulli(math.Ldexp(1, -level)) {
 		return radio.Transmit(d.best)
 	}
 	return radio.Listen()

@@ -120,7 +120,7 @@ func (b *bsNode) Act(step int) radio.Action {
 	if b.active() || b.heardYes {
 		// Informed nodes flood the beacon Decay-style.
 		level := b.step%b.levels + 1
-		if b.rng.Bernoulli(math.Pow(2, -float64(level))) {
+		if b.rng.Bernoulli(math.Ldexp(1, -level)) {
 			return radio.Transmit(beacon{})
 		}
 	}

@@ -440,7 +440,7 @@ func (c *competeNode) Act(step int) radio.Action {
 			return radio.Transmit(c.best)
 		}
 	case stepBackground:
-		if c.rng.Bernoulli(math.Pow(2, -float64(d.bgLevel))) {
+		if c.rng.Bernoulli(math.Ldexp(1, -int(d.bgLevel))) {
 			return radio.Transmit(c.best)
 		}
 	}

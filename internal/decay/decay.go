@@ -71,7 +71,7 @@ func (p *Phase) Act(local int) radio.Action {
 		return radio.Listen()
 	}
 	i := local % p.stepsPerIter // 0-based position within the iteration
-	prob := math.Pow(2, -float64(i+1))
+	prob := math.Ldexp(1, -(i + 1))
 	if p.rng.Bernoulli(prob) {
 		return radio.Transmit(p.msg)
 	}

@@ -39,7 +39,7 @@ type dynFloodNode struct {
 }
 
 func (d *dynFloodNode) Act(step int) radio.Action {
-	if d.has && d.rng.Bernoulli(math.Pow(2, -float64(step%d.levels+1))) {
+	if d.has && d.rng.Bernoulli(math.Ldexp(1, -(step%d.levels+1))) {
 		return radio.Transmit(d.best)
 	}
 	return radio.Listen()

@@ -162,7 +162,7 @@ type sinrDecayNode struct {
 }
 
 func (d *sinrDecayNode) Act(step int) radio.Action {
-	if d.informed && d.rng.Bernoulli(math.Pow(2, -float64(step%d.levels+1))) {
+	if d.informed && d.rng.Bernoulli(math.Ldexp(1, -(step%d.levels+1))) {
 		return radio.Transmit(int64(1))
 	}
 	return radio.Listen()

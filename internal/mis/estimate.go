@@ -40,7 +40,7 @@ func (d *degreeNode) Act(step int) radio.Action {
 		return radio.Listen()
 	}
 	block := d.step / d.blockLen
-	prob := d.p / math.Pow(2, float64(block))
+	prob := math.Ldexp(d.p, -block)
 	if d.info.RNG.Bernoulli(prob) {
 		return radio.Transmit(degPing{})
 	}

@@ -214,7 +214,7 @@ func (nd *node) Act(step int) radio.Action {
 		}
 		if nd.alive {
 			block := off / nd.lay.degBlockLen
-			prob := nd.p / math.Pow(2, float64(block))
+			prob := math.Ldexp(nd.p, -block)
 			if nd.info.RNG.Bernoulli(prob) {
 				return radio.Transmit(degPing{})
 			}

@@ -11,11 +11,11 @@ import (
 )
 
 // FuzzSINRBatchVsExact fuzzes the tentpole claim of the batched receive
-// path: on any finite deployment, the grid-bucketed kernels (and the dense
-// and sweep-fallback paths they dispatch to) make exactly the decisions of
-// a naive exact-arithmetic reference — per listener, sum every in-cutoff
-// transmitter in ascending order with math.Pow powers and apply the
-// threshold by plain division. Positions and powers are derived from the
+// path: on any finite deployment, the grid-bucketed kernel (in one arena
+// run or several) and the dense exact-mode kernel make exactly the
+// decisions of a naive exact-arithmetic reference — per listener, sum
+// every in-cutoff transmitter in ascending order with math.Pow powers and
+// apply the threshold by plain division. Positions and powers are derived from the
 // fuzz bytes through the deterministic RNG, so every input is finite and
 // non-NaN (NaN geometry is rejected at the gen layer and out of contract
 // here). Decoded and Collided are compared as sets: the bucketed pass
@@ -23,9 +23,11 @@ import (
 //
 // The input bytes decode as: data[0] node count, data[1] cutoff-factor
 // selector (including +Inf, which exercises the dense exact path),
-// data[2] flags (heterogeneous powers, forced co-located pair), data[3:11]
-// RNG seed, and the tail selects transmitters. The seed corpus under
-// testdata/fuzz/FuzzSINRBatchVsExact runs as ordinary test cases in
+// data[2] flags (bit 0 heterogeneous powers, bit 1 forced co-located pair,
+// bits 2–3 the candidate-arena cap: the production budget, one ring — so
+// nearly every multi-transmitter step splits into runs — or 8n),
+// data[3:11] RNG seed, and the tail selects transmitters. The seed corpus
+// under testdata/fuzz/FuzzSINRBatchVsExact runs as ordinary test cases in
 // `go test`; CI additionally runs a short -fuzz smoke.
 func FuzzSINRBatchVsExact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,6 +60,12 @@ func FuzzSINRBatchVsExact(f *testing.F) {
 		s, err := NewSINR(pts, params)
 		if err != nil {
 			t.Fatal(err)
+		}
+		switch (flags >> 2) & 3 {
+		case 1:
+			s.arenaCap = maxRingCells
+		case 2:
+			s.arenaCap = 8 * n
 		}
 		if err := s.Sync(0, graph.New(n).Freeze()); err != nil {
 			t.Fatal(err)

@@ -60,10 +60,11 @@ type Stats struct {
 	// (0 for models without one).
 	ArenaCap int
 	// ArenaHighWater is the largest candidate count any single step asked
-	// of the arena — how close the run has come to the fallback sweep.
+	// of the arena — above ArenaCap, the step was resolved in several runs.
 	ArenaHighWater int
-	// FallbackSweeps counts steps that overflowed the arena and resolved
-	// through the per-transmitter sweep instead.
+	// FallbackSweeps counts steps resolved in more than one arena run (the
+	// name predates the multi-run kernel, which replaced a per-transmitter
+	// fallback sweep on those steps).
 	FallbackSweeps uint64
 }
 

@@ -17,19 +17,23 @@ package phy
 // maps every bucket to the transmitters within the far-field cutoff ring,
 // built in ascending transmitter order, and one fused pass per bucket
 // accumulates interference and applies the threshold with per-listener
-// state held in registers. Per-step cost is O(#tx · nodes-within-cutoff),
-// near-sparse on spread-out deployments, and the scratch is arena-style
-// per-epoch buffers so the step loop performs zero heap allocations.
+// state held in registers. A transmit storm whose rings outgrow the
+// candidate arena is split into ascending arena-sized runs of transmitters
+// that go through the same passes, each listener's sums carrying from run
+// to run. Per-step cost is O(#tx · nodes-within-cutoff), near-sparse on
+// spread-out deployments, and the scratch is arena-style per-epoch buffers
+// so the step loop performs zero heap allocations.
 //
-// Bit-exactness is a hard constraint, not a nicety: every kernel
-// accumulates each listener's interference in ascending transmitter order
-// with the exact arithmetic of the pre-batch code (Dist's summation order,
-// math.Pow's rounding — see pow.go — and the d==0 clamp), so the float
-// sums, and hence every decode decision, are identical whether the step ran
-// through the batched kernels, the per-transmitter fallback sweep, or the
-// dense exact-mode loop, and identical however the engines sharded the act
-// phase. That is what keeps the committed golden digests and the
-// old-vs-new reference differential valid across this layout change.
+// There are two kernels: that bucketed one, and the dense exact-mode loop
+// for geometries that do not bucket. Bit-exactness is a hard constraint,
+// not a nicety: both accumulate each listener's interference in ascending
+// transmitter order with the exact arithmetic of the pre-batch code (Dist's
+// summation order, math.Pow's rounding — see pow.go — and the d==0 clamp),
+// so the float sums, and hence every decode decision, are identical whether
+// the step ran in one arena run or several, through the bucketed kernel or
+// the dense loop, and identical however the engines sharded the act phase.
+// That is what keeps the committed golden digests and the old-vs-new
+// reference differential valid across this layout change.
 //
 // The far-field cutoff is the one deliberate approximation: interference
 // from transmitters farther than CutoffFactor decode ranges is dropped. A
@@ -200,27 +204,31 @@ type SINR struct {
 
 	// Per-step candidate table for the bucketed kernel (all-zero between
 	// steps): candU[candStart[c]-candCnt[c]:candStart[c]] lists, ascending,
-	// the transmitters whose cutoff ring covers receiver cell c; rcCells
-	// tracks the cells dirtied this step. candU's length is the arena
-	// budget — a step whose rings overflow it resolves through the
-	// per-transmitter fallback sweep instead of allocating.
+	// the transmitters of the current run whose cutoff ring covers receiver
+	// cell c; rcCells tracks the cells the run dirtied. candU's length is
+	// the arena budget — a step whose rings overflow it resolves in several
+	// runs instead of allocating. arenaCap is the test hook that shrinks the
+	// budget so the differential and fuzz tests can force multi-run steps.
 	candU     []uint32
 	candCnt   []int32
 	candStart []int32
 	rcCells   []int32
+	arenaCap  int
 
-	// Fallback-sweep scratch (all-zero between steps, cleared via touched).
-	acc      []float64 // total received power per touched listener
-	bestPow  []float64 // strongest single signal per touched listener
-	bestFrom []int32   // its transmitter (valid when seen)
-	seen     []bool
+	// Multi-run carry scratch (all-zero between steps, cleared via touched):
+	// each listener's accumulator, strongest signal and its transmitter,
+	// carried from one arena run to the next. bestPow > 0 marks a listener
+	// already on touched.
+	acc      []float64
+	bestPow  []float64
+	bestFrom []int32
 	touched  []int32
 
 	// Load statistics for the StatsSource interface: plain fields, bumped
 	// inline in the kernels (one compare + at most two stores per step) and
 	// read only at epoch boundaries by the engine's probe.
 	arenaHighWater int
-	fallbackSweeps uint64
+	multiRunSteps  uint64
 }
 
 // NewSINR builds the SINR model over static positions. params defaults are
@@ -296,12 +304,11 @@ func (s *SINR) Sync(step int, csr *graph.CSR) error {
 			s.pw[i] = s.params.Power
 		}
 	}
-	// Fallback-sweep scratch, all-zero between steps.
+	// Multi-run carry scratch, all-zero between steps.
 	if len(s.acc) < n {
 		s.acc = make([]float64, n)
 		s.bestPow = make([]float64, n)
 		s.bestFrom = make([]int32, n)
-		s.seen = make([]bool, n)
 		s.touched = make([]int32, 0, n)
 	}
 	s.maxRange = s.params.RangeFor(s.params.Power)
@@ -388,7 +395,7 @@ func (s *SINR) buildGrid() {
 	// is already 3×3 and the hierarchy would be pure overhead.
 	s.hier = s.rc >= 2 && !s.hierOff
 	if s.ringBuf == nil {
-		s.ringBuf = make([]int32, 0, (2*maxRingRC+1)*(2*maxRingRC+1))
+		s.ringBuf = make([]int32, 0, maxRingCells)
 	}
 	cells := cols * rows
 	n := len(s.pts)
@@ -402,10 +409,16 @@ func (s *SINR) buildGrid() {
 	// (kept all-zero between steps by the bucketed kernel itself) and the
 	// flat id arena. The budget bounds the table at 8 ids per node — far
 	// above the sparse-frontier steady state; a transmit storm past it
-	// resolves through the fallback sweep, never an allocation.
+	// resolves in several arena-sized runs, never an allocation. Every
+	// budget holds at least one full ring, so each run takes at least one
+	// transmitter.
 	s.candCnt = grow(s.candCnt, cells)
 	s.candStart = grow(s.candStart, cells)
-	s.candU = grow(s.candU, max(8*n, 1024))
+	arena := max(8*n, 1024)
+	if s.arenaCap > 0 {
+		arena = s.arenaCap
+	}
+	s.candU = grow(s.candU, max(arena, maxRingCells))
 	if s.rcCells == nil {
 		s.rcCells = make([]int32, 0, cells)
 	}
@@ -443,10 +456,9 @@ func (s *SINR) cellIndexXY(x, y float64) int {
 
 // Resolve implements Model: decide reception for the step's transmitter
 // frontier. Dispatch: the dense kernel when the geometry does not bucket,
-// otherwise the bucketed batch kernel, overflowing to the per-transmitter
-// sweep when a transmit storm outgrows the candidate arena. All three
-// accumulate each listener's interference in ascending transmitter order
-// with identical arithmetic, so the choice never changes a decision.
+// otherwise the bucketed batch kernel. Both accumulate each listener's
+// interference in ascending transmitter order with identical arithmetic, so
+// the choice never changes a decision.
 func (s *SINR) Resolve(f *Frontier, out *Outcome) {
 	if f.Len() == 0 {
 		return
@@ -458,15 +470,20 @@ func (s *SINR) Resolve(f *Frontier, out *Outcome) {
 	s.resolveBucketed(f, out)
 }
 
-// resolveBucketed is the batch kernel. Three passes over per-cell state:
-// count candidate entries per receiver cell (every transmitter's cutoff
-// ring, clipped to the grid), turn the counts into CSR segment cursors,
-// and fill the segments — iterating transmitters in ascending order both
-// times, so each cell's candidate list is ascending by construction. The
-// fused per-bucket pass then resolves every listener of every dirtied cell
-// with accumulator, best-signal, and best-transmitter state in registers,
-// appending decodes and collisions directly; no per-listener scratch is
-// written at all.
+// resolveBucketed is the batch kernel. The ascending transmitter list is
+// split into the longest runs whose cutoff rings fit the candidate arena —
+// one run on every ordinary step, several only in a transmit storm. Each
+// run takes three passes over per-cell state: count candidate entries per
+// receiver cell (every transmitter's cutoff ring, clipped to the grid),
+// turn the counts into CSR segment cursors, and fill the segments —
+// iterating transmitters in ascending order both times, so each cell's
+// candidate list is ascending by construction. The fused per-bucket pass
+// then resolves every listener of every dirtied cell with accumulator,
+// best-signal, and best-transmitter state in registers. A single-run step
+// appends decodes and collisions directly; a multi-run step parks each
+// listener's state in the carry scratch between runs — runs are ascending,
+// so the per-listener summation order is the single run's — and applies
+// the threshold once over the touched listeners at the end.
 //
 // Both ring passes route through ringCells, which prunes cells whose
 // nearest point lies beyond the cutoff from the transmitter (the ring is
@@ -481,49 +498,78 @@ func (s *SINR) Resolve(f *Frontier, out *Outcome) {
 // consistent.
 func (s *SINR) resolveBucketed(f *Frontier, out *Outcome) {
 	txs := f.List()
-	// Pass 1: count ring entries per receiver cell, tracking dirtied cells.
-	total := 0
-	for _, u := range txs {
-		for _, cell := range s.ringCells(u) {
+	multi := len(txs) > 1
+	j, entries := s.countRun(txs, 0)
+	if j == len(txs) {
+		s.fillRun(txs)
+		s.fusedPass(f, out, false, multi)
+	} else {
+		s.multiRunSteps++
+		for i := 0; ; {
+			s.fillRun(txs[i:j])
+			s.fusedPass(f, out, true, multi)
+			if j == len(txs) {
+				break
+			}
+			var n int
+			i = j
+			j, n = s.countRun(txs, i)
+			entries += n
+		}
+		s.emitTouched(out)
+	}
+	if entries > s.arenaHighWater {
+		s.arenaHighWater = entries
+	}
+}
+
+// countRun is pass 1 for the run starting at txs[i]: it counts ring entries
+// per receiver cell, tracking dirtied cells, for the longest run txs[i:j]
+// whose entries fit the arena, and returns j and the run's entry count. The
+// arena holds at least one full ring, so the run is never empty.
+func (s *SINR) countRun(txs []int32, i int) (j, entries int) {
+	arena := len(s.candU)
+	for j = i; j < len(txs); j++ {
+		ring := s.ringCells(txs[j])
+		if entries+len(ring) > arena {
+			break
+		}
+		for _, cell := range ring {
 			if s.candCnt[cell] == 0 {
 				s.rcCells = append(s.rcCells, cell)
 			}
 			s.candCnt[cell]++
-			total++
 		}
+		entries += len(ring)
 	}
-	if total > s.arenaHighWater {
-		s.arenaHighWater = total
-	}
-	if total > len(s.candU) {
-		// Transmit storm past the arena budget: undo the counts and resolve
-		// through the per-transmitter sweep — same decisions, no allocation.
-		s.fallbackSweeps++
-		for _, c := range s.rcCells {
-			s.candCnt[c] = 0
-		}
-		s.rcCells = s.rcCells[:0]
-		s.resolveSweep(f, out)
-		return
-	}
-	// Pass 2: CSR offsets. candStart[c] walks to the segment end during the
-	// fill, so afterwards the segment is candU[candStart[c]-candCnt[c]:candStart[c]].
+	return j, entries
+}
+
+// fillRun is passes 2 and 3 for a counted run: CSR offsets, then the fill
+// in ascending transmitter order per cell, repeating pass 1's pruning test
+// bit for bit so counts and fills agree. candStart[c] walks to the segment
+// end during the fill, so afterwards the segment is
+// candU[candStart[c]-candCnt[c]:candStart[c]].
+func (s *SINR) fillRun(run []int32) {
 	off := int32(0)
 	for _, c := range s.rcCells {
 		s.candStart[c] = off
 		off += s.candCnt[c]
 	}
-	// Pass 3: fill, ascending transmitter order per cell, repeating pass 1's
-	// pruning test bit for bit so counts and fills agree.
-	for _, u := range txs {
+	for _, u := range run {
 		uu := uint32(u)
 		for _, cell := range s.ringCells(u) {
 			s.candU[s.candStart[cell]] = uu
 			s.candStart[cell]++
 		}
 	}
-	// Fused accumulate+threshold pass, one receiver bucket at a time.
-	multi := len(txs) > 1
+}
+
+// fusedPass is the accumulate+threshold pass over the run's candidate
+// table, one receiver bucket at a time, re-zeroing the table as it goes.
+// With carry set, each listener resumes from and parks its state in the
+// carry scratch instead of applying the threshold.
+func (s *SINR) fusedPass(f *Frontier, out *Outcome, carry, multi bool) {
 	noise, beta := s.params.Noise, s.params.Beta
 	alpha, fast4 := s.params.PathLoss, s.fast4
 	cutoff := s.cutoff
@@ -544,6 +590,9 @@ func (s *SINR) resolveBucketed(f *Frontier, out *Outcome) {
 			xv, yv := xs[v], ys[v]
 			var acc, best float64
 			bestU := int32(-1)
+			if carry {
+				acc, best, bestU = s.acc[v], s.bestPow[v], s.bestFrom[v]
+			}
 			if fast4 {
 				// The default-α kernel is branchless on the cutoff: whether a
 				// candidate is within range is data-dependent and essentially
@@ -605,6 +654,13 @@ func (s *SINR) resolveBucketed(f *Frontier, out *Outcome) {
 			if best == 0 {
 				continue
 			}
+			if carry {
+				if s.bestPow[v] == 0 {
+					s.touched = append(s.touched, v)
+				}
+				s.acc[v], s.bestPow[v], s.bestFrom[v] = acc, best, bestU
+				continue
+			}
 			// Threshold: the contract decision is fl(best/den) ≥ β with den
 			// computed exactly as below. The division is the longest-latency
 			// op left in the pass and most listeners are nowhere near the
@@ -636,7 +692,7 @@ func (s *SINR) resolveBucketed(f *Frontier, out *Outcome) {
 				col = append(col, v)
 			}
 		}
-		// Re-zero the per-cell table entries this step dirtied.
+		// Re-zero the per-cell table entries this run dirtied.
 		s.candCnt[c] = 0
 		s.candStart[c] = 0
 	}
@@ -644,9 +700,26 @@ func (s *SINR) resolveBucketed(f *Frontier, out *Outcome) {
 	out.Decoded, out.Collided = dec, col
 }
 
+// emitTouched applies the threshold to every listener a multi-run step
+// touched, in first-touch order, and re-zeroes the carry scratch. A
+// multi-run step has at least two transmitters (one ring always fits the
+// arena), so every touched listener that decodes nothing collided.
+func (s *SINR) emitTouched(out *Outcome) {
+	noise, beta := s.params.Noise, s.params.Beta
+	for _, v := range s.touched {
+		s.emit(out, v, s.acc[v], s.bestPow[v], s.bestFrom[v], true, true, noise, beta)
+		s.acc[v], s.bestPow[v] = 0, 0
+	}
+	s.touched = s.touched[:0]
+}
+
 // maxRingRC is the largest possible ring radius in cells: the cell side
 // starts at cutoff/3 and only ever coarsens, so ⌈cutoff/cellSize⌉ ≤ 3.
 const maxRingRC = 3
+
+// maxRingCells is the most cells one cutoff ring can cover, the smallest
+// candidate arena that still fits every ring.
+const maxRingCells = (2*maxRingRC + 1) * (2*maxRingRC + 1)
 
 // hierBlock is the coarse-block side of the two-level ring prune, in fine
 // cells: a full 7×7 ring (rc = 3) is covered by 2×2 blocks, so one rejected
@@ -860,93 +933,18 @@ func (s *SINR) emit(out *Outcome, v int32, acc, best float64, bestU int32, hit, 
 	}
 }
 
-// resolveSweep is the pre-batch per-transmitter path, kept as the overflow
-// fallback for steps whose cutoff rings outgrow the candidate arena: each
-// transmitter's ring is swept in ascending transmitter order, listeners
-// accumulate in the per-node scratch arrays, and a final pass over the
-// touched set applies the threshold. Decision-identical to the bucketed
-// kernel (same per-listener accumulation order and arithmetic), differing
-// only in the order listeners are appended to the outcome.
-func (s *SINR) resolveSweep(f *Frontier, out *Outcome) {
-	for _, u := range f.List() {
-		s.sweep(f, u)
-	}
-	multi := f.Len() > 1
-	noise := s.params.Noise
-	beta := s.params.Beta
-	for _, v := range s.touched {
-		bp := s.bestPow[v]
-		if bp/(noise+(s.acc[v]-bp)) >= beta {
-			out.Decoded = append(out.Decoded, Decode{To: v, From: s.bestFrom[v]})
-		} else if multi && bp > 0 {
-			// bp == 0 means every in-range contribution underflowed to zero
-			// received power — the bucketed kernel does not count such a
-			// listener as touched (it detects contact via best > 0), so the
-			// sweep must not either, or the two paths' Collided stats drift.
-			out.Collided = append(out.Collided, v)
-		}
-		s.acc[v] = 0
-		s.bestPow[v] = 0
-		s.seen[v] = false
-	}
-	s.touched = s.touched[:0]
-}
-
-// sweep accumulates transmitter u's received power onto every non-
-// transmitting node within the far-field cutoff.
-func (s *SINR) sweep(f *Frontier, u int32) {
-	pu := s.pw[u]
-	alpha, fast4 := s.params.PathLoss, s.fast4
-	c := s.nodeCell[u]
-	cols, rows := int32(s.cols), int32(s.rows)
-	rc := s.rc
-	cx, cy := c%cols, c/cols
-	xu, yu := s.xs[u], s.ys[u]
-	for gy := max(cy-rc, 0); gy <= min(cy+rc, rows-1); gy++ {
-		base := gy * cols
-		for gx := max(cx-rc, 0); gx <= min(cx+rc, cols-1); gx++ {
-			cell := base + gx
-			for _, vu := range s.cellNodes[s.cellStart[cell]:s.cellStart[cell+1]] {
-				v := int32(vu)
-				if f.Has(v) {
-					continue
-				}
-				dx := xu - s.xs[v]
-				dy := yu - s.ys[v]
-				d := math.Sqrt(dx*dx + dy*dy)
-				if d == 0 {
-					d = 1e-9
-				}
-				if d > s.cutoff {
-					continue
-				}
-				pow := recvPow(pu, d, alpha, fast4)
-				if !s.seen[v] {
-					s.seen[v] = true
-					s.touched = append(s.touched, v)
-				}
-				s.acc[v] += pow
-				if pow > s.bestPow[v] {
-					s.bestPow[v] = pow
-					s.bestFrom[v] = u
-				}
-			}
-		}
-	}
-}
-
 // Clear implements Model. The kernels re-zero their per-cell and per-node
 // scratch inline as each step's Resolve finishes, so there is nothing left
 // to do here — the method survives as the Model seam's contract point.
 func (s *SINR) Clear() {}
 
 // Stats implements StatsSource: arena budget, the high-water candidate
-// count any step has asked of it, and how many steps overflowed to the
-// fallback sweep. Read at epoch boundaries by the engine probe.
+// count any step has asked of it, and how many steps needed more than one
+// arena run. Read at epoch boundaries by the engine probe.
 func (s *SINR) Stats() Stats {
 	return Stats{
 		ArenaCap:       len(s.candU),
 		ArenaHighWater: s.arenaHighWater,
-		FallbackSweeps: s.fallbackSweeps,
+		FallbackSweeps: s.multiRunSteps,
 	}
 }

@@ -1,10 +1,14 @@
 package phy
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
 
 // emptyCSR returns an edgeless frozen graph on n nodes — the SINR model
@@ -295,6 +299,184 @@ func TestSINRShardOrderIndependence(t *testing.T) {
 	for i := range a.Decoded {
 		if a.Decoded[i] != b.Decoded[i] {
 			t.Fatalf("decode %d differs: %+v vs %+v", i, a.Decoded[i], b.Decoded[i])
+		}
+	}
+}
+
+// sweepOracle is the pre-batch per-transmitter resolve path, once the
+// production fallback for steps whose cutoff rings outgrew the candidate
+// arena and kept here as an oracle for the multi-run kernel: each
+// transmitter's ring is swept in ascending transmitter order, listeners
+// accumulate in per-node scratch, and a final pass over the touched set
+// applies the threshold. s must be synced and bucketed (not dense).
+func sweepOracle(s *SINR, f *Frontier) Outcome {
+	n := len(s.pts)
+	acc := make([]float64, n)
+	bestPow := make([]float64, n)
+	bestFrom := make([]int32, n)
+	seen := make([]bool, n)
+	var touched []int32
+	alpha, fast4 := s.params.PathLoss, s.fast4
+	cols, rows := int32(s.cols), int32(s.rows)
+	for _, u := range f.List() {
+		pu := s.pw[u]
+		c := s.nodeCell[u]
+		cx, cy := c%cols, c/cols
+		xu, yu := s.xs[u], s.ys[u]
+		for gy := max(cy-s.rc, 0); gy <= min(cy+s.rc, rows-1); gy++ {
+			for gx := max(cx-s.rc, 0); gx <= min(cx+s.rc, cols-1); gx++ {
+				cell := gy*cols + gx
+				for _, vu := range s.cellNodes[s.cellStart[cell]:s.cellStart[cell+1]] {
+					v := int32(vu)
+					if f.Has(v) {
+						continue
+					}
+					dx := xu - s.xs[v]
+					dy := yu - s.ys[v]
+					d := math.Sqrt(dx*dx + dy*dy)
+					if d == 0 {
+						d = 1e-9
+					}
+					if d > s.cutoff {
+						continue
+					}
+					pow := recvPow(pu, d, alpha, fast4)
+					if !seen[v] {
+						seen[v] = true
+						touched = append(touched, v)
+					}
+					acc[v] += pow
+					if pow > bestPow[v] {
+						bestPow[v] = pow
+						bestFrom[v] = u
+					}
+				}
+			}
+		}
+	}
+	var out Outcome
+	for _, v := range touched {
+		bp := bestPow[v]
+		if bp/(s.params.Noise+(acc[v]-bp)) >= s.params.Beta {
+			out.Decoded = append(out.Decoded, Decode{To: v, From: bestFrom[v]})
+		} else if f.Len() > 1 && bp > 0 {
+			// bp == 0: every in-range contribution underflowed, which the
+			// kernels do not count as contact.
+			out.Collided = append(out.Collided, v)
+		}
+	}
+	return out
+}
+
+// sortedOutcome returns sorted copies of an outcome's decodes and
+// collisions: the kernels emit listeners in grid or first-touch order, so
+// they are compared as sets.
+func sortedOutcome(o Outcome) ([]Decode, []int32) {
+	dec := append([]Decode(nil), o.Decoded...)
+	col := append([]int32(nil), o.Collided...)
+	sort.Slice(dec, func(i, j int) bool { return dec[i].To < dec[j].To })
+	sort.Slice(col, func(i, j int) bool { return col[i] < col[j] })
+	return dec, col
+}
+
+func sameOutcome(t *testing.T, label string, got, want Outcome) {
+	t.Helper()
+	gd, gc := sortedOutcome(got)
+	wd, wc := sortedOutcome(want)
+	if !slices.Equal(gd, wd) {
+		t.Fatalf("%s: decoded %v, want %v", label, gd, wd)
+	}
+	if !slices.Equal(gc, wc) {
+		t.Fatalf("%s: collided %v, want %v", label, gc, wc)
+	}
+}
+
+// TestSINRStormRunsMatchSingleRun forces transmit storms through the
+// multi-run path with the arenaCap hook — one ring (every multi-transmitter
+// step splits), 1024, and 8n — on frontiers of density 1/32 to 1, and
+// requires the decoded and collided sets of each capped model to equal the
+// single-run kernel's (a model whose arena fits every ring of every node),
+// the dense exact-mode kernel's at the same cutoff, and the sweep oracle's.
+// The capped models resolve the densities back to back, so a carry scratch
+// left dirty by one step would corrupt the next.
+func TestSINRStormRunsMatchSingleRun(t *testing.T) {
+	const n = 1200
+	rng := xrand.New(113)
+	side := math.Sqrt(float64(n) * math.Pi / 8)
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{rng.Float64() * side, rng.Float64() * side}
+	}
+	pw := make([]float64, n)
+	for i := range pw {
+		pw[i] = 0.5 + rng.Float64()
+	}
+	caps := []int{maxRingCells, 1024, 8 * n}
+	for _, params := range []SINRParams{{}, {Powers: pw}, {PathLoss: 3}, {CutoffFactor: 2.5}} {
+		synced := func(arenaCap int) *SINR {
+			s, err := NewSINR(pts, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.arenaCap = arenaCap
+			if err := s.Sync(0, emptyCSR(n)); err != nil {
+				t.Fatal(err)
+			}
+			if s.dense {
+				t.Fatal("deployment did not bucket")
+			}
+			return s
+		}
+		single := synced(maxRingCells * n)
+		capped := make([]*SINR, len(caps))
+		for i, c := range caps {
+			capped[i] = synced(c)
+		}
+		multiRuns := make([]uint64, len(caps))
+		for _, inv := range []int{32, 8, 4, 2, 1} {
+			var txs []int32
+			for v := 0; v < n; v++ {
+				if rng.Intn(inv) == 0 {
+					txs = append(txs, int32(v))
+				}
+			}
+			var f Frontier
+			f.Resize(n)
+			f.Add(txs)
+			var ref, dense Outcome
+			single.Resolve(&f, &ref)
+			if single.Stats().FallbackSweeps != 0 {
+				t.Fatal("single-run reference split a step")
+			}
+			single.resolveDense(&f, &dense)
+			entries := 0
+			for _, u := range txs {
+				entries += len(single.ringCells(u))
+			}
+			label := func(what string) string {
+				return fmt.Sprintf("params %+v density 1/%d: %s", params, inv, what)
+			}
+			sameOutcome(t, label("dense vs single-run"), dense, ref)
+			sameOutcome(t, label("sweep oracle vs single-run"), sweepOracle(single, &f), ref)
+			for i, s := range capped {
+				var out Outcome
+				before := s.Stats().FallbackSweeps
+				s.Resolve(&f, &out)
+				s.Clear()
+				split := s.Stats().FallbackSweeps - before
+				if want := entries > len(s.candU); (split == 1) != want {
+					t.Fatalf("%s: %d ring entries in a %d-entry arena, multi-run steps +%d",
+						label(fmt.Sprint("cap ", caps[i])), entries, len(s.candU), split)
+				}
+				multiRuns[i] += split
+				sameOutcome(t, label(fmt.Sprint("cap ", caps[i])), out, ref)
+			}
+			single.Clear()
+		}
+		for i, c := range caps {
+			if multiRuns[i] == 0 {
+				t.Fatalf("params %+v: cap %d never took the multi-run path", params, c)
+			}
 		}
 	}
 }

@@ -212,3 +212,61 @@ func TestSequentialSINRStepZeroAllocN4096(t *testing.T) {
 			long-short, long, short)
 	}
 }
+
+// stormNode transmits on every other step, offset by its index, so exactly
+// half the nodes transmit each step — a transmit storm whose cutoff rings
+// outgrow the SINR candidate arena.
+type stormNode struct {
+	index  int
+	step   int
+	budget int
+}
+
+func (s *stormNode) Act(step int) Action {
+	if (s.index+step)%2 == 0 {
+		return Transmit(steadyMsg)
+	}
+	return Listen()
+}
+func (s *stormNode) Deliver(step int, msg Message) { s.step = step + 1 }
+func (s *stormNode) Done() bool                    { return s.step >= s.budget }
+
+// TestSequentialSINRStormZeroAlloc is the storm twin of the test above:
+// with half of n=4096 nodes transmitting every step, each step's rings
+// need more than the 8n-entry candidate arena and resolve in several arena
+// runs, which must allocate nothing either. The model's FallbackSweeps
+// count proves the multi-run path actually ran.
+func TestSequentialSINRStormZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n=4096 SINR runs are slow; skipped with -short")
+	}
+	const n = 4096
+	side := math.Sqrt(float64(n) * math.Pi / 8)
+	pts := gen.UniformPoints(n, 2, side, xrand.New(3))
+	params := phy.SINRParams{}.WithDefaults()
+	g := gen.SINRConnectivity(pts, params)
+	g.Freeze()
+	var multiRun uint64
+	runSteps := func(steps int) {
+		model, err := phy.NewSINR(pts, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factory := func(info NodeInfo) Protocol {
+			return &stormNode{index: info.Index, budget: steps}
+		}
+		if _, err := Run(g, factory, Options{MaxSteps: steps, Seed: 7, PHY: model}); err != nil {
+			t.Fatal(err)
+		}
+		multiRun = model.Stats().FallbackSweeps
+	}
+	short := testing.AllocsPerRun(3, func() { runSteps(16) })
+	long := testing.AllocsPerRun(3, func() { runSteps(80) })
+	if multiRun == 0 {
+		t.Fatal("no step took the multi-run path; the storm fits the arena")
+	}
+	if long > short {
+		t.Fatalf("SINR storm step loop allocates at n=4096: %.1f allocs over 64 extra steps (%.1f vs %.1f per run)",
+			long-short, long, short)
+	}
+}

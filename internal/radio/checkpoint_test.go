@@ -44,7 +44,7 @@ type ckptFlood struct {
 
 func (d *ckptFlood) Act(step int) Action {
 	a := Listen()
-	if d.has && d.rng.Bernoulli(math.Pow(2, -float64(step%d.levels+1))) {
+	if d.has && d.rng.Bernoulli(math.Ldexp(1, -(step%d.levels+1))) {
 		a = Transmit(d.best)
 	}
 	msg := int64(silence)

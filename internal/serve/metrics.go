@@ -38,7 +38,7 @@ type metrics struct {
 	engineFrontier   obs.FloatGauge // mean per-step transmitter frontier
 	engineArenaCap   obs.Gauge      // SINR candidate-arena budget
 	engineArenaHW    obs.Gauge      // SINR candidate-arena high water
-	engineFallbacks  obs.Gauge      // SINR fallback sweeps (cumulative per run)
+	engineFallbacks  obs.Gauge      // SINR multi-run steps (cumulative per run)
 	enginePHYSamples obs.Counter    // probes that carried PHY stats
 }
 
@@ -124,7 +124,7 @@ func newMetrics(s *Service) *metrics {
 	reg.GaugeFunc("serve_engine_sinr_arena_high_water",
 		"largest candidate count a step asked of the arena in the last probed run", func() float64 { return float64(m.engineArenaHW.Value()) })
 	reg.GaugeFunc("serve_engine_sinr_fallback_sweeps",
-		"steps that overflowed the arena to the fallback sweep in the last probed run", func() float64 { return float64(m.engineFallbacks.Value()) })
+		"steps resolved in more than one arena run in the last probed run", func() float64 { return float64(m.engineFallbacks.Value()) })
 
 	return m
 }
