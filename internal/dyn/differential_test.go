@@ -1,13 +1,13 @@
 package dyn_test
 
-// Differential epoch-boundary determinism (ISSUE 3 satellite): the
-// sequential and worker-pool engines must produce identical transcripts
-// across topology epoch changes, for every shard count. The transcript is
-// compared via trace.Hasher digests (per-node act/deliver streams) plus the
-// aggregate Result, on churn, fault, and partition/heal schedules.
+// Differential epoch-boundary determinism: the engine's sparse step loop,
+// which swaps the CSR once per epoch, must produce the transcripts of a
+// dense reference loop that re-reads the topology every step. The
+// transcript is compared via trace.Hasher digests (per-node act/deliver
+// streams) plus the aggregate Result, on churn, fault, and partition/heal
+// schedules.
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/dyn"
@@ -84,40 +84,99 @@ func schedules(t *testing.T) map[string]*dyn.Schedule {
 	return map[string]*dyn.Schedule{"churn": churn, "faults": faults, "partition-heal": ph}
 }
 
+// referenceRun is the dense oracle for the engine under a Topology: every
+// step it asks the schedule for the epoch in force, polls Done on every
+// node, lets every live node act, and decides each listener's reception by
+// counting its transmitting neighbors in that epoch (exactly one: heard;
+// two or more: a collision). Node RNGs are split from the seed by index, as
+// the engine does.
+func referenceRun(sched *dyn.Schedule, factory radio.Factory, maxSteps int, seed uint64) radio.Result {
+	n := sched.N()
+	root := xrand.New(seed)
+	nodes := make([]radio.Protocol, n)
+	for v := range nodes {
+		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, D: n, Alpha: n, RNG: root.Split(uint64(v))})
+	}
+	var res radio.Result
+	live := make([]bool, n)
+	transmitting := make([]bool, n)
+	payload := make([]radio.Message, n)
+	for step := 0; step < maxSteps; step++ {
+		csr, _ := sched.EpochAt(step)
+		anyLive := false
+		for v, nd := range nodes {
+			live[v] = !nd.Done()
+			anyLive = anyLive || live[v]
+		}
+		if !anyLive {
+			res.AllDone = true
+			break
+		}
+		for v, nd := range nodes {
+			transmitting[v], payload[v] = false, nil
+			if live[v] {
+				if a := nd.Act(step); a.Transmit {
+					transmitting[v], payload[v] = true, a.Msg
+					res.Transmissions++
+				}
+			}
+		}
+		for v, nd := range nodes {
+			var msg radio.Message
+			if !transmitting[v] {
+				count, from := 0, int32(-1)
+				for _, w := range csr.Neighbors(v) {
+					if transmitting[w] {
+						count++
+						from = w
+					}
+				}
+				switch {
+				case count == 1:
+					msg = payload[from]
+					res.Deliveries++
+				case count >= 2:
+					res.Collisions++
+				}
+			}
+			if live[v] {
+				nd.Deliver(step, msg)
+			}
+		}
+		res.Steps = step + 1
+	}
+	if !res.AllDone {
+		res.AllDone = true
+		for _, nd := range nodes {
+			res.AllDone = res.AllDone && nd.Done()
+		}
+	}
+	return res
+}
+
 // TestEngineDifferentialAcrossEpochs runs the same dynamic gossip workload
-// on the sequential engine and on the worker-pool engine at Shards ∈
-// {1, 4, GOMAXPROCS}, asserting digest- and Result-identical runs.
+// on the engine and on the dense reference loop, asserting digest- and
+// Result-identical runs.
 func TestEngineDifferentialAcrossEpochs(t *testing.T) {
 	const steps = 160
 	base := gridGraph(8, 8)
 	for name, sched := range schedules(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func(concurrent bool, shards int) (uint64, radio.Result) {
-				h := trace.NewHasher()
-				factory := func(info radio.NodeInfo) radio.Protocol {
-					return &gossipNode{rng: info.RNG, has: info.Index == 0, budget: steps}
-				}
-				res, err := radio.Run(base, h.Wrap(factory), radio.Options{
-					MaxSteps:   steps,
-					Seed:       42,
-					Topology:   sched,
-					Concurrent: concurrent,
-					Shards:     shards,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return h.Sum(), res
+			factory := func(info radio.NodeInfo) radio.Protocol {
+				return &gossipNode{rng: info.RNG, has: info.Index == 0, budget: steps}
 			}
-			wantDigest, wantRes := run(false, 0)
-			for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				gotDigest, gotRes := run(true, shards)
-				if gotDigest != wantDigest {
-					t.Errorf("shards=%d: pool digest %#x differs from sequential %#x", shards, gotDigest, wantDigest)
-				}
-				if gotRes != wantRes {
-					t.Errorf("shards=%d: pool result %+v differs from sequential %+v", shards, gotRes, wantRes)
-				}
+			ref := trace.NewHasher()
+			wantRes := referenceRun(sched, ref.Wrap(factory), steps, 42)
+			h := trace.NewHasher()
+			gotRes, err := radio.Run(base, h.Wrap(factory), radio.Options{MaxSteps: steps, Seed: 42, Topology: sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := h.Sum(), ref.Sum(); got != want {
+				t.Errorf("engine digest %#x differs from reference %#x", got, want)
+			}
+			if gotRes != wantRes {
+				t.Errorf("engine result %+v differs from reference %+v", gotRes, wantRes)
 			}
 		})
 	}

@@ -1,10 +1,10 @@
 // Package dyn builds deterministic dynamic-topology schedules for the radio
-// engines: epochs of node churn, edge fault injection, partition/heal
+// engine: epochs of node churn, edge fault injection, partition/heal
 // events, and mobility-driven rewiring over a fixed node set.
 //
 // A Schedule is an immutable sequence of topology epochs. Epoch i covers the
 // step interval [starts[i], starts[i+1]) and holds one frozen CSR snapshot;
-// the engines consume it through radio.Options.Topology, querying it only at
+// the engine consumes it through radio.Options.Topology, querying it only at
 // epoch boundaries so the zero-alloc step loop is untouched between them.
 // Construction is the only place graphs mutate: the base graph is cloned and
 // each epoch's edge delta is applied via graph.ApplyDelta, with one CSR
@@ -15,7 +15,7 @@
 // in internal/exp derive that seed from the trial seed, so dynamic
 // experiments inherit the suite's byte-identical-output guarantee at any
 // parallelism level, and the differential tests can replay the same schedule
-// through the sequential and worker-pool engines. A Schedule is immutable
+// through the engine and a dense reference loop. A Schedule is immutable
 // after construction and safe for concurrent readers (including concurrent
 // engine runs sharing one Schedule).
 package dyn
@@ -87,7 +87,7 @@ func New(base *graph.Graph, specs []EpochSpec) (*Schedule, error) {
 
 // EpochAt implements radio.Topology: the snapshot in force at step and the
 // start of the following epoch (-1 when step falls in the last epoch).
-// Steps before 0 are treated as 0. O(log #epochs); the engines call it once
+// Steps before 0 are treated as 0. O(log #epochs); the engine calls it once
 // per epoch, not per step.
 func (s *Schedule) EpochAt(step int) (*graph.CSR, int) {
 	i := sort.SearchInts(s.starts, step+1) - 1

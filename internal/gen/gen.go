@@ -158,11 +158,6 @@ func UDG(pts []Point, radius float64) *graph.Graph {
 	return thresholdGraph(pts, radius, Point.Dist)
 }
 
-// UnitBallLInf builds the unit ball graph under the ℓ∞ (doubling) metric.
-func UnitBallLInf(pts []Point, radius float64) *graph.Graph {
-	return thresholdGraph(pts, radius, Point.DistLInf)
-}
-
 func thresholdGraph(pts []Point, radius float64, dist func(Point, Point) float64) *graph.Graph {
 	b := graph.NewBuilder(len(pts))
 	for i := range pts {

@@ -189,22 +189,6 @@ func TestGeometricRadioNetworkMutualEdges(t *testing.T) {
 	}
 }
 
-func TestUnitBallLInf(t *testing.T) {
-	pts := []Point{{0, 0}, {0.9, 0.9}, {2, 2}}
-	g := UnitBallLInf(pts, 1)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("ℓ∞ distance 0.9 should connect at radius 1")
-	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("ℓ∞ distance 2 must not connect")
-	}
-	// Euclidean version would NOT connect 0-1 (dist ≈ 1.27 > 1).
-	ge := UDG(pts, 1)
-	if ge.HasEdge(0, 1) {
-		t.Fatal("euclidean check: expected no edge")
-	}
-}
-
 func TestCliqueChain(t *testing.T) {
 	g := CliqueChain(5, 4)
 	if g.N() != 20 {

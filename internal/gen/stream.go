@@ -57,15 +57,6 @@ func UDGDegTarget(n int) float64 {
 	return math.Log(float64(n)) + 3
 }
 
-// UDGCSR builds the unit disk graph on pts directly in frozen CSR form via
-// the streaming two-pass build. ok is false — callers fall back to
-// UDG(...).Freeze() — exactly when the grid index declines the deployment
-// (non-2-D, non-finite, degenerate radius). The result is list-for-list
-// identical to UDG(pts, radius).Freeze().
-func UDGCSR(pts []Point, radius float64) (*graph.CSR, bool) {
-	return udgStreamCSR(pts, radius)
-}
-
 // udgStreamCSR is the streaming build: pass 1 counts every vertex's full
 // degree (each pair evaluated from both endpoints — the predicate is
 // symmetric bit-for-bit, so the counts agree), the CSRBuilder turns counts

@@ -298,12 +298,3 @@ func (g *Graph) BallVertices(v, d int) []int {
 	}
 	return out
 }
-
-// DegreeHistogram returns counts indexed by degree.
-func (g *Graph) DegreeHistogram() []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for _, nb := range g.adj {
-		hist[len(nb)]++
-	}
-	return hist
-}

@@ -236,14 +236,6 @@ func TestValidatePropertyRandomGraphs(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := path(4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestSortAdjacency(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 3)

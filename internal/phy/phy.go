@@ -7,14 +7,12 @@
 // footnote 1, where decoding is a signal-to-interference-plus-noise
 // threshold over node positions.
 //
-// The engines in internal/radio drive delivery through the Model interface,
+// The engine in internal/radio drives delivery through the Model interface,
 // so every protocol, experiment, topology schedule and service scenario in
 // this repository composes with every reception model. A Model instance is
 // stateful per run: the engine calls Sync at the start of the run and at
 // every topology epoch boundary, then per step exactly one Resolve — fed
-// the step's transmitter Frontier, which the engine assembles on the
-// coordinator side from its shard transmit lists in ascending global order
-// — and one Clear. Instances must not be shared between concurrent runs.
+// the step's transmitter Frontier, in ascending order — and one Clear. Instances must not be shared between concurrent runs.
 package phy
 
 import "repro/internal/graph"
@@ -69,7 +67,7 @@ type Stats struct {
 }
 
 // StatsSource is optionally implemented by models that can report Stats.
-// The engines type-assert for it when firing radio.Options.Probe; the
+// The engine type-asserts for it when firing radio.Options.Probe; the
 // assertion and the read happen at epoch boundaries only, so implementing
 // it costs the step loop nothing.
 type StatsSource interface {
@@ -81,21 +79,20 @@ type Model interface {
 	// Name is the canonical spec name of the model ("collision",
 	// "collision-cd", "sinr").
 	Name() string
-	// Sync installs the topology in force from step on. The engines call it
+	// Sync installs the topology in force from step on. The engine calls it
 	// once before step 0 and once per epoch boundary (never per step), so
 	// implementations may allocate here — the step-loop methods below must
 	// not. Geometric models ignore csr's edges and refresh their positions
 	// for the epoch instead.
 	Sync(step int, csr *graph.CSR) error
 	// Resolve decides reception for the step's transmitter frontier,
-	// appending into out (which arrives reset). f.List() is ascending —
-	// the engines merge their shard transmit lists in ascending global
-	// order — and models that accumulate floating-point interference must
-	// sum each listener's contributions in that fixed transmitter-index
-	// order, so the sequential and worker-pool engines stay transcript-
-	// identical. The frontier is read-only to the model and owned by the
-	// engine, which clears it after Clear. Cost must be proportional to
-	// the transmitters and the listeners they can reach, not to n.
+	// appending into out (which arrives reset). f.List() is ascending, and
+	// models that accumulate floating-point interference must sum each
+	// listener's contributions in that fixed transmitter-index order, so a
+	// decision never depends on how the frontier was assembled. The
+	// frontier is read-only to the model and owned by the engine, which
+	// clears it after Clear. Cost must be proportional to the transmitters
+	// and the listeners they can reach, not to n.
 	Resolve(f *Frontier, out *Outcome)
 	// Clear re-zeroes any per-step scratch dirtied by Resolve, restoring
 	// the between-steps all-zero invariant at cost proportional to the
@@ -107,7 +104,7 @@ type Model interface {
 // exactly one of its graph neighbors transmits; with two or more it hears
 // nothing and cannot distinguish the collision from silence. The zero-
 // overhead default — its delivery pass is the same saturating-counter
-// sparse scan the engines ran before the model was pluggable.
+// sparse scan the engine ran before the model was pluggable.
 type Collision struct {
 	csr     *graph.CSR
 	cur     graph.NeighborCursor // reused per-step iteration handle (compact form stays zero-alloc)
@@ -123,8 +120,7 @@ func NewCollision() *Collision { return &Collision{} }
 
 // NewCollisionCD returns the collision-detection variant (§1.5.2): listeners
 // with ≥2 transmitting neighbors receive the radio.Collision marker instead
-// of silence. This is the model Options.CollisionDetection selected before
-// the PHY layer existed.
+// of silence.
 func NewCollisionCD() *Collision { return &Collision{marker: true} }
 
 // Name implements Model.

@@ -31,7 +31,7 @@ package phy
 // summation order, math.Pow's rounding — see pow.go — and the d==0 clamp),
 // so the float sums, and hence every decode decision, are identical whether
 // the step ran in one arena run or several, through the bucketed kernel or
-// the dense loop, and identical however the engines sharded the act phase.
+// the dense loop, and identical however the frontier was split into batches.
 // That is what keeps the committed golden digests and the old-vs-new
 // reference differential valid across this layout change.
 //

@@ -265,9 +265,8 @@ func TestSINRReceiverOnBucketEdge(t *testing.T) {
 }
 
 // TestSINRShardOrderIndependence pins the fixed accumulation order: feeding
-// the transmitter set as one batch or as several ascending shard batches
-// must produce identical outcomes (the sequential≡pool contract's model-
-// level half).
+// the transmitter set as one batch or as several ascending batches must
+// produce identical outcomes.
 func TestSINRShardOrderIndependence(t *testing.T) {
 	pts := []Point{{0, 0}, {0.4, 0.1}, {0.8, 0}, {1.2, 0.3}, {1.6, 0}, {2.0, 0.2}}
 	csr := emptyCSR(len(pts))

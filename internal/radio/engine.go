@@ -8,14 +8,14 @@ import (
 	"repro/internal/phy"
 )
 
-// engine is the step-loop state shared by the sequential and worker-pool
-// engines: the frozen CSR topology, the protocol instances, the physical-
-// layer reception model, and reusable scratch buffers sized once at
-// construction so the per-step loop allocates nothing. Under a dynamic
-// topology (Options.Topology) csr is the snapshot of the current epoch and
-// epochSync swaps it at epoch boundaries (re-syncing the PHY model); the
-// scratch buffers are indexed by node and the node count is fixed for the
-// whole run, so they survive every epoch unchanged.
+// engine is the step-loop state: the frozen CSR topology, the protocol
+// instances, the physical-layer reception model, and reusable scratch
+// buffers sized once at construction so the per-step loop allocates
+// nothing. Under a dynamic topology (Options.Topology) csr is the snapshot
+// of the current epoch and epochSync swaps it at epoch boundaries
+// (re-syncing the PHY model); the scratch buffers are indexed by node and
+// the node count is fixed for the whole run, so they survive every epoch
+// unchanged.
 //
 // Sparse-delivery invariants (DESIGN.md §3): between steps every scratch
 // entry is at its zero value — payload[v]=nil, hear[v]=nil — txList/out and
@@ -34,7 +34,7 @@ type engine struct {
 
 	payload  []Message    // payload[v]: message v transmits
 	hear     []Message    // hear[v]: message v receives (nil = silence)
-	txList   []int32      // this step's transmitters, ascending (sequential engine)
+	txList   []int32      // this step's transmitters, ascending
 	frontier phy.Frontier // this step's transmitter set, fed to Resolve
 	out      phy.Outcome  // this step's reception outcome, buffers reused
 
@@ -79,6 +79,112 @@ func newEngine(g *graph.Graph, nodes []Protocol, opts Options) (*engine, error) 
 	return e, nil
 }
 
+// runEngine is the step loop. After the engine struct is built it performs
+// zero heap allocations per step (a regression test asserts this): the
+// active list compacts in place, transmitters go into a preallocated
+// scratch list, the PHY model's reception pass works off its own
+// preallocated scratch, and only entries dirtied this step are re-zeroed.
+// Per-step cost is O(#active + #transmitters + the listeners they reach).
+//
+// The active list starts as 0..n-1, ascending. A node leaves it permanently
+// the first time it is observed awake with Done() true; dormant nodes
+// (WakeAt in the future) stay on it — they keep the run alive — but are
+// neither polled nor delivered to.
+func runEngine(g *graph.Graph, nodes []Protocol, opts Options) (Result, error) {
+	e, err := newEngine(g, nodes, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	active := make([]int32, len(nodes))
+	for v := range active {
+		active[v] = int32(v)
+	}
+	var res Result
+	start := 0
+	if cp := opts.Resume; cp != nil {
+		if err := e.restore(cp); err != nil {
+			return Result{}, err
+		}
+		active = append(active[:0], cp.Active...)
+		res = cp.Partial
+		start = cp.Step
+	}
+	for step := start; step < opts.MaxSteps; step++ {
+		// Epoch boundary: swap in the topology in force at this step, and
+		// capture a checkpoint there when the hook is armed (on resume the
+		// boundary re-fires at cp.Step, re-syncing the PHY model). The
+		// advisory probe samples at the same boundaries, after the capture.
+		if e.epochSync(step) {
+			if opts.Checkpoint != nil || opts.Snapshot != nil {
+				if err := e.boundary(step, active, res); err != nil {
+					return Result{}, err
+				}
+			}
+			if opts.Probe != nil {
+				e.fireProbe(step, len(active), res, false)
+			}
+		}
+		// Act phase: retire done nodes, poll the rest, record transmitters.
+		w := 0
+		for _, v := range active {
+			if !awake(&opts, int(v), step) {
+				active[w] = v // dormant: stays active, keeps the run alive
+				w++
+				continue
+			}
+			if nodes[v].Done() {
+				continue // retired for the remainder of the run
+			}
+			active[w] = v
+			w++
+			if a := nodes[v].Act(step); a.Transmit {
+				e.payload[v] = a.Msg
+				e.txList = append(e.txList, v)
+			}
+		}
+		active = active[:w]
+		if len(active) == 0 {
+			res.AllDone = true
+			break
+		}
+		// Delivery: the PHY model decides reception for the transmitter set.
+		st := StepStats{Step: step, Transmits: len(e.txList)}
+		e.frontier.Add(e.txList)
+		e.resolveDeliveries(&st)
+		// Deliver phase: every live node receives its message (or silence).
+		for _, v := range active {
+			if awake(&opts, int(v), step) {
+				nodes[v].Deliver(step, e.hear[v])
+			}
+		}
+		e.resetStep()
+		res.Steps = step + 1
+		res.Transmissions += int64(st.Transmits)
+		res.Deliveries += int64(st.Deliveries)
+		res.Collisions += int64(st.Collisions)
+		if opts.OnStep != nil {
+			opts.OnStep(st)
+		}
+	}
+	if !res.AllDone {
+		// MaxSteps ran out: nodes off the active list are done by
+		// construction, so only the remainder is polled.
+		res.AllDone = true
+		for _, v := range active {
+			if !nodes[v].Done() {
+				res.AllDone = false
+				break
+			}
+		}
+	}
+	// Final probe sample: static runs have no boundaries, so this is the
+	// one place every probed run is guaranteed a sample.
+	if opts.Probe != nil {
+		e.fireProbe(res.Steps, len(active), res, true)
+	}
+	return res, nil
+}
+
 // fireProbe fills the engine's reused ProbeSample with the state at step
 // (cumulative counters from res, window rates since the previous fire) and
 // hands it to Options.Probe. Called at epoch boundaries and once after the
@@ -114,10 +220,10 @@ func (e *engine) fireProbe(step, active int, res Result, final bool) {
 // epochSync installs the topology in force at step when step crosses the
 // next epoch boundary, re-syncing the PHY model (geometric models refresh
 // their positions here), and reports whether a boundary was crossed — the
-// points where the engines capture checkpoints (Options.Checkpoint).
+// points where the engine captures checkpoints (Options.Checkpoint).
 // Between boundaries it is a single comparison, so the per-step delivery
 // cost stays amortized; the Topology query, the model re-sync, and any
-// allocation inside either happen once per epoch. Both engines call it at
+// allocation inside either happen once per epoch. The step loop calls it at
 // the top of the step, before the act phase, so the epoch's first step
 // already delivers over the new topology.
 func (e *engine) epochSync(step int) bool {
@@ -138,58 +244,6 @@ func (e *engine) epochSync(step int) bool {
 		panic(fmt.Sprintf("radio: %s model rejected the epoch at step %d: %v", e.model.Name(), step, err))
 	}
 	return true
-}
-
-// actScan runs one step's act phase over a compacting active list: dormant
-// nodes are kept but skipped, nodes observed awake with Done() true retire
-// permanently, and every remaining node is polled, with transmitters
-// recorded into the scratch arrays and appended to tx. It returns the
-// compacted active list, the extended transmitter list, and the number of
-// transmit actions. Shared by the sequential engine (whole node range) and
-// each worker-pool shard (its own range) so the two engines cannot drift.
-func (e *engine) actScan(active []int32, step int, tx []int32) (activeOut, txOut []int32, transmits int) {
-	w := 0
-	for _, v := range active {
-		if !awake(&e.opts, int(v), step) {
-			active[w] = v // dormant: stays active, keeps the run alive
-			w++
-			continue
-		}
-		if e.nodes[v].Done() {
-			continue // retired for the remainder of the run
-		}
-		active[w] = v
-		w++
-		a := e.nodes[v].Act(step)
-		if a.Transmit {
-			e.payload[v] = a.Msg
-			tx = append(tx, v)
-			transmits++
-		}
-	}
-	return active[:w], tx, transmits
-}
-
-// deliverScan hands each live node on the list its received message (or
-// silence). Shared by both engines, like actScan.
-func (e *engine) deliverScan(active []int32, step int) {
-	for _, v := range active {
-		if awake(&e.opts, int(v), step) {
-			e.nodes[v].Deliver(step, e.hear[v])
-		}
-	}
-}
-
-// newActive returns the initial active list 0..n-1. A node leaves the list
-// permanently the first time it is observed awake with Done() true; dormant
-// nodes (WakeAt in the future) stay on the list — they keep the run alive —
-// but are neither polled nor delivered to.
-func (e *engine) newActive() []int32 {
-	active := make([]int32, len(e.nodes))
-	for v := range active {
-		active[v] = int32(v)
-	}
-	return active
 }
 
 // resolveDeliveries asks the PHY model to decide reception for the observed
@@ -214,17 +268,15 @@ func (e *engine) resolveDeliveries(st *StepStats) {
 	}
 }
 
-// clearTx re-zeroes the per-transmitter scratch for one transmitter list.
-func (e *engine) clearTx(tx []int32) {
-	for _, v := range tx {
+// resetStep re-zeroes exactly the scratch this step dirtied — the
+// transmitters' payloads, the hear entries of the outcome's listeners, the
+// model's own scratch, and the frontier — restoring the between-steps
+// invariant.
+func (e *engine) resetStep() {
+	for _, v := range e.txList {
 		e.payload[v] = nil
 	}
-}
-
-// clearDeliveries re-zeroes the hear entries this step's outcome dirtied,
-// the model's own scratch, and the frontier, restoring the between-steps
-// invariant.
-func (e *engine) clearDeliveries() {
+	e.txList = e.txList[:0]
 	for _, d := range e.out.Decoded {
 		e.hear[d.To] = nil
 	}
@@ -235,15 +287,4 @@ func (e *engine) clearDeliveries() {
 	}
 	e.model.Clear()
 	e.frontier.Clear()
-}
-
-// finishAllDone is the end-of-run sweep when MaxSteps ran out: nodes off the
-// active list are done by construction, so only the remainder is polled.
-func finishAllDone(nodes []Protocol, active []int32) bool {
-	for _, v := range active {
-		if !nodes[v].Done() {
-			return false
-		}
-	}
-	return true
 }

@@ -36,9 +36,7 @@ func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Me
 	e.resolveDeliveries(&st)
 	hear := make([]Message, n)
 	copy(hear, e.hear)
-	e.clearTx(e.txList)
-	e.txList = e.txList[:0]
-	e.clearDeliveries()
+	e.resetStep()
 	for v := 0; v < n; v++ {
 		if e.frontier.Has(int32(v)) || e.payload[v] != nil || e.hear[v] != nil {
 			t.Fatalf("scratch not re-zeroed at node %d after resetStep", v)
@@ -54,7 +52,7 @@ func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Me
 	if empty.Deliveries != 0 || empty.Collisions != 0 {
 		t.Fatalf("model scratch not re-zeroed: empty step resolved to %+v", empty)
 	}
-	e.clearDeliveries()
+	e.resetStep()
 	return hear, st
 }
 
@@ -166,26 +164,115 @@ type transcript struct {
 	res    Result
 }
 
-// runTranscript executes one run with hash-recording random protocols.
-func runTranscript(t *testing.T, g *graph.Graph, opts Options, until int) transcript {
-	t.Helper()
-	hashes := make([]uint64, g.N())
-	factory := func(info NodeInfo) Protocol {
+// hashFactory builds hash-recording random protocols that write each
+// node's transcript hash into hashes.
+func hashFactory(hashes []uint64, until int) Factory {
+	return func(info NodeInfo) Protocol {
 		rn := &randomNode{info: info, until: until}
 		return &hashCapture{randomNode: rn, out: &hashes[info.Index]}
 	}
+}
+
+// runTranscript executes one engine run with hash-recording random
+// protocols.
+func runTranscript(t *testing.T, g *graph.Graph, opts Options, until int) transcript {
+	t.Helper()
+	hashes := make([]uint64, g.N())
 	var steps []StepStats
 	opts.OnStep = func(s StepStats) { steps = append(steps, s) }
-	res, err := Run(g, factory, opts)
+	res, err := Run(g, hashFactory(hashes, until), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return transcript{hashes: hashes, steps: steps, res: res}
 }
 
+// referenceTranscript runs the same workload through a dense transcription
+// of the model's definition: every step it polls Done on every awake node
+// (no active list), lets every live node act, decides reception for every
+// non-transmitting node by counting its transmitting neighbors in g
+// (exactly one: it hears that message; two or more: silence, or the
+// Collision marker when cd), and delivers to every live node. Stats count
+// every reached listener, live or not, as the engine does. There is no
+// frontier, no PHY model, and no scratch to re-zero — it is the oracle the
+// sparse step loop must match.
+func referenceTranscript(t *testing.T, g *graph.Graph, opts Options, until int, cd bool) transcript {
+	t.Helper()
+	n := g.N()
+	hashes := make([]uint64, n)
+	nodes, err := buildNodes(n, g.DiameterApprox, hashFactory(hashes, until), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr transcript
+	live := make([]bool, n)
+	transmitting := make([]bool, n)
+	payload := make([]Message, n)
+	for step := 0; step < opts.MaxSteps; step++ {
+		remaining := false
+		for v := range nodes {
+			up := awake(&opts, v, step)
+			live[v] = up && !nodes[v].Done()
+			remaining = remaining || !up || live[v]
+		}
+		if !remaining {
+			tr.res.AllDone = true
+			break
+		}
+		st := StepStats{Step: step}
+		for v := range nodes {
+			transmitting[v], payload[v] = false, nil
+			if live[v] {
+				if a := nodes[v].Act(step); a.Transmit {
+					transmitting[v], payload[v] = true, a.Msg
+					st.Transmits++
+				}
+			}
+		}
+		for v := range nodes {
+			var msg Message
+			if !transmitting[v] {
+				count, from := 0, -1
+				for _, w := range g.Neighbors(v) {
+					if transmitting[w] {
+						count++
+						from = int(w)
+					}
+				}
+				switch {
+				case count == 1:
+					msg = payload[from]
+					st.Deliveries++
+				case count >= 2:
+					st.Collisions++
+					if cd {
+						msg = Collision
+					}
+				}
+			}
+			if live[v] {
+				nodes[v].Deliver(step, msg)
+			}
+		}
+		tr.res.Steps = step + 1
+		tr.res.Transmissions += int64(st.Transmits)
+		tr.res.Deliveries += int64(st.Deliveries)
+		tr.res.Collisions += int64(st.Collisions)
+		tr.steps = append(tr.steps, st)
+	}
+	if !tr.res.AllDone {
+		tr.res.AllDone = true
+		for _, nd := range nodes {
+			tr.res.AllDone = tr.res.AllDone && nd.Done()
+		}
+	}
+	tr.hashes = hashes
+	return tr
+}
+
 // TestEnginesTranscriptIdentical is the engine differential test: across
-// random graphs, seeds, shard counts, collision-detection settings and
-// staggered wake-ups, the sequential and worker-pool engines must produce
+// random graphs, seeds, collision-detection settings and staggered
+// wake-ups, the sparse step loop and the dense reference loop must produce
 // identical per-node transcripts, per-step stats, and results.
 func TestEnginesTranscriptIdentical(t *testing.T) {
 	rng := xrand.New(99)
@@ -200,11 +287,8 @@ func TestEnginesTranscriptIdentical(t *testing.T) {
 				}
 			}
 		}
-		opts := Options{
-			MaxSteps:           40,
-			Seed:               rng.Uint64(),
-			CollisionDetection: trial%2 == 0,
-		}
+		cd := trial%2 == 0
+		opts := Options{MaxSteps: 40, Seed: rng.Uint64()}
 		if trial%3 == 0 {
 			wake := make([]int, n)
 			for v := range wake {
@@ -212,47 +296,26 @@ func TestEnginesTranscriptIdentical(t *testing.T) {
 			}
 			opts.WakeAt = wake
 		}
-		want := runTranscript(t, g, opts, 30)
-		for _, shards := range []int{1, 2, 4, 7} {
-			o := opts
-			o.Concurrent = true
-			o.Shards = shards
-			got := runTranscript(t, g, o, 30)
-			if got.res != want.res {
-				t.Fatalf("trial %d shards=%d: result %+v vs sequential %+v",
-					trial, shards, got.res, want.res)
-			}
-			if len(got.steps) != len(want.steps) {
-				t.Fatalf("trial %d shards=%d: %d step records vs %d",
-					trial, shards, len(got.steps), len(want.steps))
-			}
-			for i := range want.steps {
-				if got.steps[i] != want.steps[i] {
-					t.Fatalf("trial %d shards=%d: step %d stats %+v vs %+v",
-						trial, shards, i, got.steps[i], want.steps[i])
-				}
-			}
-			for v := range want.hashes {
-				if got.hashes[v] != want.hashes[v] {
-					t.Fatalf("trial %d shards=%d: node %d transcript differs",
-						trial, shards, v)
-				}
+		want := referenceTranscript(t, g, opts, 30, cd)
+		if cd {
+			opts.PHY = phy.NewCollisionCD()
+		}
+		got := runTranscript(t, g, opts, 30)
+		if got.res != want.res {
+			t.Fatalf("trial %d: result %+v vs reference %+v", trial, got.res, want.res)
+		}
+		if len(got.steps) != len(want.steps) {
+			t.Fatalf("trial %d: %d step records vs %d", trial, len(got.steps), len(want.steps))
+		}
+		for i := range want.steps {
+			if got.steps[i] != want.steps[i] {
+				t.Fatalf("trial %d: step %d stats %+v vs %+v", trial, i, got.steps[i], want.steps[i])
 			}
 		}
-	}
-}
-
-// TestPoolShardCountInvariance pins the worker-count resolution rule.
-func TestPoolShardCountInvariance(t *testing.T) {
-	opts := &Options{}
-	if w := workerCount(opts, 1000); w < 1 {
-		t.Fatalf("default worker count %d", w)
-	}
-	opts.Shards = 4
-	if w := workerCount(opts, 1000); w != 4 {
-		t.Fatalf("explicit shards ignored: %d", w)
-	}
-	if w := workerCount(opts, 2); w != 2 {
-		t.Fatalf("worker count must not exceed n: %d", w)
+		for v := range want.hashes {
+			if got.hashes[v] != want.hashes[v] {
+				t.Fatalf("trial %d: node %d transcript differs", trial, v)
+			}
+		}
 	}
 }

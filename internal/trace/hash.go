@@ -4,12 +4,11 @@ package trace
 // radio.Factory so that every node's (nodeID, step, action/deliver) event
 // stream is folded into an FNV-1a hash. The per-node streams are combined
 // with a commutative mix, so the digest depends only on each node's own
-// call sequence — exactly what the engines' determinism contract
-// (DESIGN.md §3) promises to preserve — and not on how the engines
-// interleave calls across nodes. The same protocol run on the sequential
-// and the worker-pool engine therefore produces the same digest, and any
-// future engine change that silently alters protocol-visible semantics
-// changes it.
+// call sequence — exactly what the engine's determinism contract
+// (DESIGN.md §3) promises to preserve — and not on how the engine
+// interleaves calls across nodes. Pure refactors and performance work on
+// the engine therefore leave the digest unchanged, and any engine change
+// that silently alters protocol-visible semantics changes it.
 
 import (
 	"sync"
@@ -118,7 +117,7 @@ func (n *hashNode) Act(step int) radio.Action {
 
 func (n *hashNode) Deliver(step int, msg radio.Message) {
 	// Classify the delivery: silence, a real message, or the collision
-	// marker (CollisionDetection runs only). Payload bytes are protocol-
+	// marker (collision-detection PHY runs only). Payload bytes are protocol-
 	// defined `any` values and are deliberately not hashed.
 	kind := uint64(0)
 	switch {
