@@ -216,8 +216,7 @@ func runFlood(spec string, n, epochs, epochLen int, rate float64, seed uint64, s
 	n = sched.N()
 	budget := max(sched.LastStart()+epochLen, 4*epochLen)
 	fmt.Printf("graph=%s n=%d epochs=%d budget=%d\n", spec, n, sched.Epochs(), budget)
-	g := sched.CSR(0).Graph()
-	out, err := exp.RunFlood(g, sched, map[int]int64{source % n: 1}, exp.FloodConfig{
+	out, err := exp.RunFlood(sched.CSR(0), sched, map[int]int64{source % n: 1}, exp.FloodConfig{
 		Budget: budget, ProbeStep: -1, Seed: seed, PHY: model,
 		OnStep: func(step, informed int) {
 			if (step+1)%epochLen == 0 {

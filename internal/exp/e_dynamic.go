@@ -156,30 +156,16 @@ type FloodConfig struct {
 	Probe func(s *radio.ProbeSample)
 }
 
-// RunFlood floods the sources' ranks over topo (nil = static g) for at most
-// cfg.Budget steps and reports completion/coverage of the highest rank.
-// E17, E19–E21 and the radionet-sim/serve flood paths are built on this
-// runner, so the CLIs and the experiment suite cannot disagree about what a
-// flood means — under any topology schedule or reception model.
-func RunFlood(g *graph.Graph, topo radio.Topology, sources map[int]int64, cfg FloodConfig) (FloodOutcome, error) {
-	return runFlood(g.N(), topo, sources, cfg, func(factory radio.Factory, opts radio.Options) (radio.Result, error) {
-		return radio.Run(g, factory, opts)
-	})
-}
-
-// RunFloodCSR is RunFlood on the graph-free streaming path: the frozen
-// snapshot IS the run's (static) topology, installed through radio.RunCSR,
-// so no graph.Graph intermediate ever exists — E24 floods 10⁵-node
-// streaming-built CSRs through this entry. Dynamic schedules don't apply
-// here; use RunFlood for those.
-func RunFloodCSR(csr *graph.CSR, sources map[int]int64, cfg FloodConfig) (FloodOutcome, error) {
-	return runFlood(csr.N(), nil, sources, cfg, func(factory radio.Factory, opts radio.Options) (radio.Result, error) {
-		return radio.RunCSR(csr, factory, opts)
-	})
-}
-
-// runFlood is the engine-parametric core shared by RunFlood and RunFloodCSR.
-func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig, engine func(radio.Factory, radio.Options) (radio.Result, error)) (FloodOutcome, error) {
+// RunFlood floods the sources' ranks over topo (nil = the static csr) for
+// at most cfg.Budget steps and reports completion/coverage of the highest
+// rank; csr supplies the node count (and is the topology of a static run,
+// so E24 floods 10⁵-node streaming-built snapshots with no graph.Graph
+// intermediate). E17, E19–E21, E24 and the radionet-sim/serve flood paths
+// are built on this runner, so the CLIs and the experiment suite cannot
+// disagree about what a flood means — under any topology schedule or
+// reception model.
+func RunFlood(csr *graph.CSR, topo radio.Topology, sources map[int]int64, cfg FloodConfig) (FloodOutcome, error) {
+	n := csr.N()
 	budget := cfg.Budget
 	target := int64(math.MinInt64)
 	for _, r := range sources {
@@ -249,7 +235,7 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 			cfg.OnSnapshot(&FloodCheckpoint{Engine: ecp, Partial: out})
 		}
 	}
-	if _, err := engine(factory, opts); err != nil {
+	if _, err := radio.RunCSR(csr, factory, opts); err != nil {
 		return FloodOutcome{}, err
 	}
 	out.InformedEnd = countInformed()
@@ -288,7 +274,7 @@ func RunE17(cfg Config) (*Report, error) {
 				}
 				topo = sched
 			}
-			out, err := RunFlood(g, topo, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
+			out, err := RunFlood(g.Freeze(), topo, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
 			if err != nil {
 				return Sample{}, err
 			}
@@ -449,7 +435,7 @@ func RunE19(cfg Config) (*Report, error) {
 				}
 				topo = sched
 			}
-			out, err := RunFlood(g, topo, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: heal - 1, Seed: trng.Uint64()})
+			out, err := RunFlood(g.Freeze(), topo, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: heal - 1, Seed: trng.Uint64()})
 			if err != nil {
 				return Sample{}, err
 			}
@@ -524,7 +510,7 @@ func RunE20(cfg Config) (*Report, error) {
 					}
 				}
 			}
-			out, err := RunFlood(g, sched, sources, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
+			out, err := RunFlood(g.Freeze(), sched, sources, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
 			if err != nil {
 				return Sample{}, err
 			}

@@ -75,7 +75,7 @@ func RunE24(cfg Config) (*Report, error) {
 		}
 		levels := int(math.Ceil(math.Log2(float64(n + 1))))
 		budget := 6 * d * levels
-		fl, err := RunFloodCSR(csr, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
+		fl, err := RunFlood(csr, nil, map[int]int64{0: 1}, FloodConfig{Budget: budget, ProbeStep: -1, Seed: trng.Uint64()})
 		if err != nil {
 			return Sample{}, err
 		}

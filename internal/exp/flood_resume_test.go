@@ -23,7 +23,7 @@ func TestFloodCheckpointResume(t *testing.T) {
 	}
 	sources := map[int]int64{0: 7}
 	base := FloodConfig{Budget: 64, ProbeStep: 10, Seed: 99}
-	want, err := RunFlood(g, sched, sources, base)
+	want, err := RunFlood(g.Freeze(), sched, sources, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFloodCheckpointResume(t *testing.T) {
 			last = cp
 			return nil
 		}
-		if _, err := RunFlood(g, sched, sources, cfg); !errors.Is(err, killed) {
+		if _, err := RunFlood(g.Freeze(), sched, sources, cfg); !errors.Is(err, killed) {
 			t.Fatalf("kill=%d: err = %v, want %v (checkpoint calls: %d)", kill, err, killed, calls)
 		}
 
@@ -61,7 +61,7 @@ func TestFloodCheckpointResume(t *testing.T) {
 		} else if kill != 1 {
 			t.Fatalf("kill=%d: no checkpoint persisted", kill)
 		}
-		got, err := RunFlood(g, sched, sources, rcfg)
+		got, err := RunFlood(g.Freeze(), sched, sources, rcfg)
 		if err != nil {
 			t.Fatalf("kill=%d: resumed run: %v", kill, err)
 		}

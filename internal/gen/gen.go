@@ -10,7 +10,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/phy"
@@ -141,23 +140,19 @@ func UniformPoints(n, dim int, side float64, rng *xrand.RNG) []Point {
 
 // UDG builds the unit disk graph on pts with connection radius radius:
 // an edge {u,v} iff Euclidean distance ≤ radius. Finite 2-D deployments
-// take a grid-bucketed O(n + m) path that is list-for-list identical to
-// the naive scan — above StreamThreshold the streaming direct-to-CSR
-// variant, which skips the Builder's edge staging entirely; everything
-// else (other dimensions, non-finite inputs, degenerate radii) falls back
-// to the quadratic reference.
+// take the grid-bucketed O(n + m) streaming build (udgStreamCSR), which is
+// list-for-list identical to the naive scan; everything else (other
+// dimensions, non-finite inputs, degenerate radii) falls back to the
+// quadratic reference.
 func UDG(pts []Point, radius float64) *graph.Graph {
-	if len(pts) >= StreamThreshold {
-		if c, ok := udgStreamCSR(pts, radius); ok {
-			return graph.FromCSR(c)
-		}
-	}
-	if g, ok := udgGrid2D(pts, radius); ok {
-		return g
+	if c, ok := udgStreamCSR(pts, radius); ok {
+		return graph.FromCSR(c)
 	}
 	return thresholdGraph(pts, radius, Point.Dist)
 }
 
+// thresholdGraph is the quadratic reference: every pair tested with dist,
+// edges added in lexicographic (i, j) order.
 func thresholdGraph(pts []Point, radius float64, dist func(Point, Point) float64) *graph.Graph {
 	b := graph.NewBuilder(len(pts))
 	for i := range pts {
@@ -219,19 +214,14 @@ func GeometricRadioNetwork(pts []Point, minRange, maxRange float64, rng *xrand.R
 }
 
 // ConnectedUDG generates points until the UDG is connected, scaling the
-// deployment area so expected degree stays near degTarget.
+// deployment area so expected degree stays near degTarget (connectedUDGCSR,
+// wrapped zero-copy as a Graph).
 func ConnectedUDG(n int, degTarget float64, tries int, rng *xrand.RNG) (*graph.Graph, []Point, error) {
-	// With n points in side², expected neighbors within radius 1 is
-	// approximately n·π/side²; choose side to hit degTarget.
-	side := math.Sqrt(float64(n) * math.Pi / degTarget)
-	for t := 0; t < tries; t++ {
-		pts := UniformPoints(n, 2, side, rng)
-		g := UDG(pts, 1)
-		if g.Connected() {
-			return g, pts, nil
-		}
+	c, pts, err := connectedUDGCSR(n, degTarget, tries, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("gen: no connected UDG(n=%d, deg=%v) in %d tries", n, degTarget, tries)
+	return graph.FromCSR(c), pts, nil
 }
 
 // SINRConnectivity returns the zero-interference reachability graph of a

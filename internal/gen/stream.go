@@ -1,22 +1,23 @@
 package gen
 
-// Streaming direct-to-CSR generation — the million-node path (DESIGN.md
-// §11). The Builder route stages every edge twice (us/vs arrays) and carves
-// a Graph with n slice headers before the engines re-freeze it; at n = 10⁶
-// those intermediates dominate peak memory. udgStreamCSR instead builds the
-// frozen form directly from the grid buckets in two counting passes —
-// degree count → prefix offsets → fill — so the only O(m) allocation is the
-// final edge array, and no graph.Graph or candidate staging ever exists.
+// Streaming direct-to-CSR generation — the one UDG build, and the
+// million-node path (DESIGN.md §11). A Builder route would stage every edge
+// twice (us/vs arrays) and carve a Graph with n slice headers before the
+// engines re-freeze it; at n = 10⁶ those intermediates dominate peak
+// memory. udgStreamCSR instead builds the frozen form directly from the
+// geoGrid2D buckets in two counting passes — degree count → prefix offsets
+// → fill — so the only O(m) allocation is the final edge array. UDG wraps
+// the result with graph.FromCSR (zero-copy), and BuildCSR hands it to the
+// engines as is.
 //
-// Equivalence contract (pinned by stream_test.go and
+// Equivalence contract (pinned by stream_test.go, udggrid_test.go and
 // FuzzStreamCSRVsBuilder): the streamed CSR is list-for-list identical to
-// UDG(pts, radius).Freeze(). Both paths enumerate candidates from the same
-// geoGrid2D buckets and share the exact per-pair predicate
+// the quadratic reference thresholdGraph(pts, radius, Point.Dist).Freeze().
+// The per-pair predicate reuses Point.Dist's exact float arithmetic,
 // fl(sqrt(fl(fl(dx²)+fl(dy²)))) ≤ radius, which is symmetric bit-for-bit
 // (negating dx, dy leaves their squares unchanged), so counting (i,j) from
-// i's side and (j,i) from j's side agree. The Builder's lexicographic edge
-// order yields globally ascending lists; the streamed fill emits ring-
-// ordered runs and sorts each vertex segment ascending, landing on the same
+// i's side and (j,i) from j's side agree; the fill emits ring-ordered runs
+// and sorts each vertex segment ascending, landing on the reference's
 // canonical lists.
 
 import (
@@ -26,12 +27,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
-
-// StreamThreshold is the vertex count at and above which UDG routes through
-// the streaming direct-to-CSR build instead of the Builder. Below it the
-// Builder's staging cost is noise; above it the avoided intermediates are
-// the difference between one and several copies of the edge set in flight.
-const StreamThreshold = 1 << 15
 
 // largeUDGThreshold is where the canonical "udg" deployment switches from
 // the historical fixed degree target to the connectivity-scaled one. 4096
@@ -61,7 +56,7 @@ func UDGDegTarget(n int) float64 {
 // degree (each pair evaluated from both endpoints — the predicate is
 // symmetric bit-for-bit, so the counts agree), the CSRBuilder turns counts
 // into offsets, pass 2 re-walks the same buckets filling arcs, and a final
-// per-vertex sort lands on the Builder path's canonical ascending lists.
+// per-vertex sort lands on the reference's canonical ascending lists.
 func udgStreamCSR(pts []Point, radius float64) (*graph.CSR, bool) {
 	gg, ok := newGeoGrid2D(pts, radius)
 	if !ok {
@@ -137,17 +132,19 @@ func BuildCSR(name string, n int, seed uint64) (*graph.CSR, []Point, error) {
 	return g.Freeze(), pts, nil
 }
 
-// connectedUDGCSR is ConnectedUDG on the streaming path: identical point
-// draws and retry discipline (so BuildCSR and ByNameWithPoints agree on the
-// deployment for a given seed), with connectivity checked on the CSR
+// connectedUDGCSR is the one connected-UDG retry loop behind ConnectedUDG
+// and BuildCSR (so the two agree on the deployment for a given seed):
+// redraw points until the disk graph is connected, checked on the CSR
 // directly.
 func connectedUDGCSR(n int, degTarget float64, tries int, rng *xrand.RNG) (*graph.CSR, []Point, error) {
+	// With n points in side², expected neighbors within radius 1 is
+	// approximately n·π/side²; choose side to hit degTarget.
 	side := math.Sqrt(float64(n) * math.Pi / degTarget)
 	for t := 0; t < tries; t++ {
 		pts := UniformPoints(n, 2, side, rng)
 		c, ok := udgStreamCSR(pts, 1)
 		if !ok {
-			c = UDG(pts, 1).Freeze()
+			c = thresholdGraph(pts, 1, Point.Dist).Freeze()
 		}
 		if c.Connected() {
 			return c, pts, nil

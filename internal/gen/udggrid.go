@@ -2,19 +2,17 @@ package gen
 
 import (
 	"math"
-	"slices"
 
-	"repro/internal/graph"
 	"repro/internal/phy"
 )
 
-// geoGrid2D is the uniform-grid spatial index shared by the UDG fast paths:
-// positions split into structure-of-arrays coordinate slices (phy.SplitXY)
-// and bucketed into cells of side > radius, so each vertex tests only the
-// 3×3 cell ring around its own cell. Both consumers — the Builder-backed
-// udgGrid2D and the streaming direct-to-CSR udgStreamCSR — walk the same
-// bucket tables, which is what makes their outputs list-for-list identical:
-// same candidate enumeration order, same per-pair predicate.
+// geoGrid2D is the uniform-grid spatial index behind the UDG build
+// (udgStreamCSR, its one consumer): positions split into structure-of-arrays
+// coordinate slices (phy.SplitXY) and bucketed into cells of side > radius,
+// so each vertex tests only the 3×3 cell ring around its own cell — expected
+// O(n + m) on bounded-density deployments versus the quadratic
+// thresholdGraph scan, the difference between milliseconds and minutes at
+// n = 65536.
 type geoGrid2D struct {
 	xs, ys     []float64
 	cols, rows int
@@ -24,7 +22,7 @@ type geoGrid2D struct {
 }
 
 // newGeoGrid2D buckets a 2-D deployment for neighbor queries at the given
-// radius. ok is false — callers fall back to the quadratic scan — for
+// radius. ok is false — the caller falls back to the quadratic scan — for
 // non-2-D points, non-finite coordinates, radius ≤ 0, or radius wide enough
 // to cover the whole bounding box (where the grid cannot prune anything).
 //
@@ -66,7 +64,7 @@ func newGeoGrid2D(pts []Point, radius float64) (*geoGrid2D, bool) {
 	}
 
 	// Counting-sort vertices into cells; ascending vertex order keeps every
-	// cell's list ascending, which the consumers' merges rely on.
+	// cell's list ascending.
 	cellOf := make([]int32, n)
 	cellStart := make([]int32, cols*rows+1)
 	for i := 0; i < n; i++ {
@@ -100,8 +98,8 @@ func newGeoGrid2D(pts []Point, radius float64) (*geoGrid2D, bool) {
 }
 
 // ring calls yield with each cell of the 3×3 ring around vertex i's cell,
-// in row-major (gy, gx) order — the canonical candidate enumeration order
-// both UDG paths share.
+// in row-major (gy, gx) order — the candidate enumeration order both of
+// udgStreamCSR's passes share.
 func (gg *geoGrid2D) ring(i int, yield func(nodes []int32)) {
 	ci := int(gg.cellOf[i])
 	cx, cy := ci%gg.cols, ci/gg.cols
@@ -111,50 +109,4 @@ func (gg *geoGrid2D) ring(i int, yield func(nodes []int32)) {
 			yield(gg.cellNodes[gg.cellStart[c]:gg.cellStart[c+1]])
 		}
 	}
-}
-
-// udgGrid2D is the grid-bucketed fast path behind UDG for 2-D deployments:
-// expected O(n + m) on bounded-density deployments versus the naive O(n²)
-// scan — the difference between milliseconds and minutes at n = 65536.
-//
-// The result is list-for-list identical to thresholdGraph(pts, radius,
-// Point.Dist): the per-pair predicate reuses Dist's exact float arithmetic
-// (fl(fl(dx²)+fl(dy²)) then a correctly-rounded sqrt, compared ≤ radius),
-// and edges are emitted in the same lexicographic (i, j) order, so the
-// Builder assembles identical ascending adjacency lists.
-//
-// ok is false — caller falls back to the quadratic scan — exactly when
-// newGeoGrid2D declines the deployment.
-func udgGrid2D(pts []Point, radius float64) (*graph.Graph, bool) {
-	gg, ok := newGeoGrid2D(pts, radius)
-	if !ok {
-		return nil, false
-	}
-	n := len(pts)
-	xs, ys := gg.xs, gg.ys
-	b := graph.NewBuilder(n)
-	nbrs := make([]int32, 0, 64)
-	for i := 0; i < n; i++ {
-		xi, yi := xs[i], ys[i]
-		nbrs = nbrs[:0]
-		gg.ring(i, func(nodes []int32) {
-			for _, j := range nodes {
-				if j <= int32(i) {
-					continue
-				}
-				dx := xi - xs[j]
-				dy := yi - ys[j]
-				if math.Sqrt(dx*dx+dy*dy) <= radius {
-					nbrs = append(nbrs, j)
-				}
-			}
-		})
-		// Ring cells yield ascending runs, not a globally ascending list;
-		// sort so Add order matches the lexicographic quadratic scan.
-		slices.Sort(nbrs)
-		for _, j := range nbrs {
-			b.Add(i, int(j))
-		}
-	}
-	return b.Build(), true
 }

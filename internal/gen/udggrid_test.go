@@ -26,23 +26,24 @@ func sameAdjacency(t *testing.T, got, want *graph.Graph, label string) {
 	}
 }
 
-// TestUDGGridMatchesQuadratic pins the fast-path contract: the bucketed
-// builder must reproduce the quadratic scan list-for-list, not just as an
-// edge set — downstream parameter estimation iterates adjacency in order.
+// TestUDGGridMatchesQuadratic pins the grid build's contract: the bucketed
+// streaming build must reproduce the quadratic scan list-for-list, not just
+// as an edge set — downstream parameter estimation iterates adjacency in
+// order.
 func TestUDGGridMatchesQuadratic(t *testing.T) {
 	rng := xrand.New(11)
 	for _, n := range []int{1, 2, 37, 300} {
 		for _, radius := range []float64{0.3, 1, 2.5} {
 			side := math.Sqrt(float64(n+1)) * 1.5
 			pts := UniformPoints(n, 2, side, rng)
-			fast, ok := udgGrid2D(pts, radius)
+			fast, ok := udgStreamCSR(pts, radius)
 			want := thresholdGraph(pts, radius, Point.Dist)
 			if !ok {
 				// Degenerate geometry (radius covers the box): the public
 				// wrapper falls back; nothing to compare.
 				continue
 			}
-			sameAdjacency(t, fast, want, "uniform")
+			sameCSR(t, fast, want.Freeze(), "uniform")
 			sameAdjacency(t, UDG(pts, radius), want, "wrapper")
 		}
 	}
@@ -61,10 +62,11 @@ func TestUDGGridBoundaryPairs(t *testing.T) {
 		{0, 30}, {math.Nextafter(r, 2), 30},
 		{5, 5}, {5, 5}, // co-located: distance 0
 	}
-	fast, ok := udgGrid2D(pts, r)
+	c, ok := udgStreamCSR(pts, r)
 	if !ok {
 		t.Fatal("grid path refused a spread-out deployment")
 	}
+	fast := graph.FromCSR(c)
 	sameAdjacency(t, fast, thresholdGraph(pts, r, Point.Dist), "boundary")
 	if !fast.HasEdge(0, 1) || !fast.HasEdge(2, 3) {
 		t.Fatal("exact-radius pair lost")
@@ -80,16 +82,22 @@ func TestUDGGridBoundaryPairs(t *testing.T) {
 // TestUDGGridFallbacks: inputs the grid cannot handle route to the
 // quadratic path and still produce correct graphs through the wrapper.
 func TestUDGGridFallbacks(t *testing.T) {
-	if _, ok := udgGrid2D(UniformPoints(8, 3, 4, xrand.New(1)), 1); ok {
+	if _, ok := udgStreamCSR(UniformPoints(8, 3, 4, xrand.New(1)), 1); ok {
 		t.Fatal("grid path accepted 3-D points")
 	}
-	if _, ok := udgGrid2D([]Point{{0, 0}, {math.NaN(), 1}, {9, 9}}, 1); ok {
+	if _, ok := udgStreamCSR([]Point{{0, 0}, {math.NaN(), 1}, {9, 9}}, 1); ok {
 		t.Fatal("grid path accepted NaN coordinates")
 	}
-	if _, ok := udgGrid2D([]Point{{0, 0}, {5, 5}}, math.Inf(1)); ok {
+	if _, ok := udgStreamCSR([]Point{{0, 0}, {math.Inf(-1), 1}, {9, 9}}, 1); ok {
+		t.Fatal("grid path accepted infinite coordinates")
+	}
+	if _, ok := udgStreamCSR([]Point{{0, 0}, {5, 5}}, math.Inf(1)); ok {
 		t.Fatal("grid path accepted infinite radius")
 	}
-	if _, ok := udgGrid2D([]Point{{0, 0}, {1, 1}}, -1); ok {
+	if _, ok := udgStreamCSR([]Point{{0, 0}, {5, 5}}, math.Inf(-1)); ok {
+		t.Fatal("grid path accepted -Inf radius")
+	}
+	if _, ok := udgStreamCSR([]Point{{0, 0}, {1, 1}}, -1); ok {
 		t.Fatal("grid path accepted negative radius")
 	}
 	// The wrapper must still produce the right answers for all of these.
@@ -100,6 +108,9 @@ func TestUDGGridFallbacks(t *testing.T) {
 	nan := UDG([]Point{{0, 0}, {math.NaN(), 1}, {0.5, 0}}, 1)
 	if nan.HasEdge(0, 1) || !nan.HasEdge(0, 2) {
 		t.Fatal("NaN fallback produced wrong edges")
+	}
+	if neg := UDG([]Point{{0, 0}, {0, 0}}, -1); neg.M() != 0 {
+		t.Fatal("negative radius connected a co-located pair")
 	}
 }
 
@@ -114,7 +125,7 @@ func TestUDGGridSparseCoarsening(t *testing.T) {
 		base := pts[i*2]
 		pts[i*2+1] = Point{base[0] + rng.Float64()*0.02, base[1] + rng.Float64()*0.02}
 	}
-	fast, ok := udgGrid2D(pts, 0.015)
+	fast, ok := udgStreamCSR(pts, 0.015)
 	if !ok {
 		t.Fatal("grid path refused sparse deployment")
 	}
@@ -122,5 +133,5 @@ func TestUDGGridSparseCoarsening(t *testing.T) {
 	if want.M() == 0 {
 		t.Fatal("test geometry produced no edges; nothing exercised")
 	}
-	sameAdjacency(t, fast, want, "sparse")
+	sameCSR(t, fast, want.Freeze(), "sparse")
 }

@@ -129,10 +129,11 @@ func (c *CSR) Connected() bool {
 	return true
 }
 
-// DiameterApprox is Graph.DiameterApprox over the snapshot: a double BFS
-// sweep giving a 2-approximation lower bound, ErrDisconnected when
-// applicable. This is what lets graph-free runs (radio.RunCSR) derive the
-// paper's parameter estimates without materializing adjacency lists.
+// DiameterApprox is a double BFS sweep giving a 2-approximation lower
+// bound on the diameter, ErrDisconnected when applicable — the one
+// implementation behind Graph.DiameterApprox, and what lets graph-free
+// runs (radio.RunCSR) derive the paper's parameter estimates without
+// materializing adjacency lists.
 func (c *CSR) DiameterApprox() (int, error) {
 	if c.N() == 0 {
 		return 0, nil

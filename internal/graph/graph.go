@@ -185,13 +185,7 @@ func (g *Graph) Eccentricity(v int) (ecc int, connected bool) {
 }
 
 // Connected reports whether the graph is connected (vacuously true for n<=1).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	_, ok := g.Eccentricity(0)
-	return ok
-}
+func (g *Graph) Connected() bool { return g.Freeze().Connected() }
 
 // Components returns a component id per vertex and the component count.
 func (g *Graph) Components() (comp []int, count int) {
@@ -242,27 +236,9 @@ func (g *Graph) Diameter() (int, error) {
 }
 
 // DiameterApprox returns a lower bound on the diameter within a factor 2,
-// computed by a double BFS sweep. Returns ErrDisconnected when applicable.
-func (g *Graph) DiameterApprox() (int, error) {
-	if g.n == 0 {
-		return 0, nil
-	}
-	dist := g.BFS(0)
-	far, fd := 0, 0
-	for v, d := range dist {
-		if d == Unreachable {
-			return 0, ErrDisconnected
-		}
-		if d > fd {
-			far, fd = v, d
-		}
-	}
-	ecc, ok := g.Eccentricity(far)
-	if !ok {
-		return 0, ErrDisconnected
-	}
-	return ecc, nil
-}
+// computed by a double BFS sweep over the frozen view (CSR.DiameterApprox).
+// Returns ErrDisconnected when applicable.
+func (g *Graph) DiameterApprox() (int, error) { return g.Freeze().DiameterApprox() }
 
 // InducedSubgraph returns the subgraph induced on keep (a vertex set given
 // as indices into g), along with the mapping old→new (-1 for dropped).

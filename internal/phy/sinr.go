@@ -190,16 +190,11 @@ type SINR struct {
 
 	// Ring geometry, fixed per epoch: rc is the ring radius in cells
 	// (⌈cutoff/cellSize⌉, ≤ 3 by construction), thr the squared-distance
-	// prune threshold cutoff²·(1+1e-9). hier enables the two-level ring
-	// prune (coarse hierBlock-cell blocks rejected before their fine cells
-	// are tested); hierOff is the test hook that forces it off so the
-	// differential and fuzz tests can compare the two prunes bit for bit.
-	// ringBuf is the per-call surviving-cell list (capacity for the largest
-	// possible ring, so the step loop never grows it).
+	// prune threshold cutoff²·(1+1e-9). ringBuf is the per-call
+	// surviving-cell list (capacity for the largest possible ring, so the
+	// step loop never grows it).
 	rc      int32
 	thr     float64
-	hier    bool
-	hierOff bool
 	ringBuf []int32
 
 	// Per-step candidate table for the bucketed kernel (all-zero between
@@ -390,10 +385,6 @@ func (s *SINR) buildGrid() {
 	s.cellSize, s.cols, s.rows, s.minX, s.minY = cs, cols, rows, minX, minY
 	s.rc = int32(math.Ceil(s.cutoff / cs))
 	s.thr = s.cutoff * s.cutoff * (1 + 1e-9)
-	// The coarse-block prune only pays for itself when a ring spans more
-	// than one block per axis; at rc = 1 (heavily coarsened grids) the ring
-	// is already 3×3 and the hierarchy would be pure overhead.
-	s.hier = s.rc >= 2 && !s.hierOff
 	if s.ringBuf == nil {
 		s.ringBuf = make([]int32, 0, maxRingCells)
 	}
@@ -488,8 +479,7 @@ func (s *SINR) Resolve(f *Frontier, out *Outcome) {
 // Both ring passes route through ringCells, which prunes cells whose
 // nearest point lies beyond the cutoff from the transmitter (the ring is
 // square, the cutoff disk is not — at cell side cutoff/3 the corners are
-// ~16% of the ring area), hierarchically when the ring is big enough for
-// coarse blocks to pay (see ringCells). The test uses squared distances
+// ~16% of the ring area). The test uses squared distances
 // with a 1e-9 relative slack above cutoff², so a pruned cell's every pair
 // is beyond the cutoff by margins no rounding in the kernel's distance
 // chain (a few ulps) can cross — and the kernels mask (or skip) exactly
@@ -721,31 +711,12 @@ const maxRingRC = 3
 // candidate arena that still fits every ring.
 const maxRingCells = (2*maxRingRC + 1) * (2*maxRingRC + 1)
 
-// hierBlock is the coarse-block side of the two-level ring prune, in fine
-// cells: a full 7×7 ring (rc = 3) is covered by 2×2 blocks, so one rejected
-// block skips up to 16 fine-cell tests for one coarse test.
-const hierBlock = 4
-
 // ringCells returns the fine grid cells of transmitter u's cutoff ring that
 // survive the squared point-to-cell-slab distance prune, in row-major
 // order, in s.ringBuf's storage (overwritten by the next call). Both
 // candidate passes of resolveBucketed route through it, so the counting and
 // fill passes evaluate identical float expressions — the invariant that
 // keeps the candidate table's counts and segments consistent.
-//
-// When s.hier is set, coarse blocks of hierBlock columns/rows (anchored at
-// the ring origin) are rejected before their fine cells are tested. A
-// block's slab distance is computed from the same column/row expressions
-// the fine test uses, evaluated at the block's edge columns: the column
-// lower edge lo(gx) = fl(minX + fl(gx)·cs) is nondecreasing in gx (fl of a
-// monotone chain of +, · on the same operands), so when xu lies left of the
-// block every member column's distance fl(lo(gx)−xu) is ≥ the block's
-// fl(lo(first)−xu), symmetrically on the right with the upper edges, and 0
-// otherwise never overestimates. Squares and the two-axis sum preserve ≤
-// under fl, so a rejected block (sum > thr) contains only cells the fine
-// test would reject — the returned cell sequence is bit-identical with the
-// hierarchy on or off, which the differential and fuzz tests in
-// sinrhier_test.go pin.
 func (s *SINR) ringCells(u int32) []int32 {
 	cols, rows := int32(s.cols), int32(s.rows)
 	rc := s.rc
@@ -779,66 +750,14 @@ func (s *SINR) ringCells(u int32) []int32 {
 		dy2[gy-gy0] = d * d
 	}
 	out := s.ringBuf[:0]
-	if !s.hier {
-		for gy := gy0; gy <= gy1; gy++ {
-			base := gy * cols
-			dy := dy2[gy-gy0]
-			for gx := gx0; gx <= gx1; gx++ {
-				if dx2[gx-gx0]+dy > thr {
-					continue
-				}
-				out = append(out, base+gx)
-			}
-		}
-		return out
-	}
-	// Coarse pass: per-axis slab distances for blocks of hierBlock fine
-	// cells. A ≤7-cell span is at most 2 blocks per axis.
-	var bdx2, bdy2 [2]float64
-	nbx := (gx1-gx0)/hierBlock + 1
-	nby := (gy1-gy0)/hierBlock + 1
-	for bi := int32(0); bi < nbx; bi++ {
-		xa := gx0 + bi*hierBlock
-		xb := min(xa+hierBlock-1, gx1)
-		lo := s.minX + float64(xa)*cs
-		loB := s.minX + float64(xb)*cs
-		d := 0.0
-		if xu < lo {
-			d = lo - xu
-		} else if hi := loB + cs; xu > hi {
-			d = xu - hi
-		}
-		bdx2[bi] = d * d
-	}
-	for bj := int32(0); bj < nby; bj++ {
-		ya := gy0 + bj*hierBlock
-		yb := min(ya+hierBlock-1, gy1)
-		lo := s.minY + float64(ya)*cs
-		loB := s.minY + float64(yb)*cs
-		d := 0.0
-		if yu < lo {
-			d = lo - yu
-		} else if hi := loB + cs; yu > hi {
-			d = yu - hi
-		}
-		bdy2[bj] = d * d
-	}
 	for gy := gy0; gy <= gy1; gy++ {
 		base := gy * cols
 		dy := dy2[gy-gy0]
-		bdy := bdy2[(gy-gy0)/hierBlock]
-		for bi := int32(0); bi < nbx; bi++ {
-			if bdx2[bi]+bdy > thr {
-				continue // whole block beyond the cutoff
+		for gx := gx0; gx <= gx1; gx++ {
+			if dx2[gx-gx0]+dy > thr {
+				continue
 			}
-			xa := gx0 + bi*hierBlock
-			xb := min(xa+hierBlock-1, gx1)
-			for gx := xa; gx <= xb; gx++ {
-				if dx2[gx-gx0]+dy > thr {
-					continue
-				}
-				out = append(out, base+gx)
-			}
+			out = append(out, base+gx)
 		}
 	}
 	return out

@@ -479,3 +479,41 @@ func TestSINRStormRunsMatchSingleRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRingCellsCoverCutoff pins the ring prune's soundness: for every
+// transmitter, the surviving cells come in ascending row-major order and
+// include the cell of every node within the cutoff — the prune only ever
+// drops cells wholly beyond it.
+func TestRingCellsCoverCutoff(t *testing.T) {
+	rng := xrand.New(41)
+	for _, n := range []int{16, 200, 1500} {
+		side := math.Sqrt(float64(n) * math.Pi / 8)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{rng.Float64() * side, rng.Float64() * side}
+		}
+		s := sinrOver(t, pts, SINRParams{})
+		if err := s.Sync(0, emptyCSR(n)); err != nil {
+			t.Fatal(err)
+		}
+		if s.dense {
+			t.Fatalf("n=%d: deployment fell back to dense", n)
+		}
+		for u := 0; u < n; u++ {
+			ring := s.ringCells(int32(u))
+			if !slices.IsSorted(ring) {
+				t.Fatalf("n=%d tx %d: ring cells not ascending: %v", n, u, ring)
+			}
+			for v := 0; v < n; v++ {
+				dx, dy := pts[u][0]-pts[v][0], pts[u][1]-pts[v][1]
+				if math.Hypot(dx, dy) > s.cutoff {
+					continue
+				}
+				if _, ok := slices.BinarySearch(ring, s.nodeCell[v]); !ok {
+					t.Fatalf("n=%d tx %d: listener %d within the cutoff but its cell %d was pruned",
+						n, u, v, s.nodeCell[v])
+				}
+			}
+		}
+	}
+}

@@ -109,11 +109,9 @@ func (e *engine) restore(cp *Checkpoint) error {
 			return fmt.Errorf("radio: resume: node %d state: %w", v, err)
 		}
 	}
-	if e.topo != nil {
-		// Force epochSync to fire at cp.Step: it installs the epoch active
-		// there and re-syncs the PHY model at the resume step.
-		e.nextEpoch = cp.Step
-	}
+	// Force epochSync to fire at cp.Step: it installs the epoch active there
+	// and re-syncs the PHY model at the resume step.
+	e.nextEpoch = cp.Step
 	// Start the probe's rate window at the resume point, not step 0, so the
 	// first sample after resume reports the resumed run's own rates.
 	e.probeStep, e.probeTx = cp.Step, cp.Partial.Transmissions

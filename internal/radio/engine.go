@@ -26,7 +26,7 @@ import (
 // to the transmitters and the listeners they reach, never to n.
 type engine struct {
 	csr       *graph.CSR
-	topo      Topology // nil for static runs
+	topo      Topology // the run's epochs; a static run has a single one
 	nextEpoch int      // step of the next topology change; -1 = static from here
 	nodes     []Protocol
 	opts      Options
@@ -49,7 +49,7 @@ type engine struct {
 	probeTx     int64
 }
 
-func newEngine(g *graph.Graph, nodes []Protocol, opts Options) (*engine, error) {
+func newEngine(nodes []Protocol, opts Options) (*engine, error) {
 	n := len(nodes)
 	e := &engine{
 		topo:      opts.Topology,
@@ -64,11 +64,7 @@ func newEngine(g *graph.Graph, nodes []Protocol, opts Options) (*engine, error) 
 	e.frontier.Resize(n)
 	e.out.Decoded = make([]phy.Decode, 0, n)
 	e.out.Collided = make([]int32, 0, n)
-	if e.topo != nil {
-		e.csr, e.nextEpoch = e.topo.EpochAt(0)
-	} else {
-		e.csr = g.Freeze()
-	}
+	e.csr, e.nextEpoch = e.topo.EpochAt(0)
 	if err := e.model.Sync(0, e.csr); err != nil {
 		return nil, fmt.Errorf("radio: %s model rejected the run: %w", e.model.Name(), err)
 	}
@@ -90,8 +86,8 @@ func newEngine(g *graph.Graph, nodes []Protocol, opts Options) (*engine, error) 
 // the first time it is observed awake with Done() true; dormant nodes
 // (WakeAt in the future) stay on it — they keep the run alive — but are
 // neither polled nor delivered to.
-func runEngine(g *graph.Graph, nodes []Protocol, opts Options) (Result, error) {
-	e, err := newEngine(g, nodes, opts)
+func runEngine(nodes []Protocol, opts Options) (Result, error) {
+	e, err := newEngine(nodes, opts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -242,33 +242,32 @@ type Result struct {
 }
 
 // Run simulates the protocol on g until all nodes are done or MaxSteps is
-// reached.
+// reached. It is an adapter over RunCSR on g's frozen view.
 func Run(g *graph.Graph, factory Factory, opts Options) (Result, error) {
 	if g == nil {
 		return Result{}, fmt.Errorf("radio: nil graph")
 	}
-	return run(g, g.N(), g.DiameterApprox, factory, opts)
+	return RunCSR(g.Freeze(), factory, opts)
 }
 
-// RunCSR simulates the protocol directly on a frozen CSR snapshot — the
-// graph-free entry point of the million-node path (DESIGN.md §11): the
+// RunCSR simulates the protocol on a frozen CSR snapshot — the engine's one
+// entry point, graph-free on the million-node path (DESIGN.md §11): the
 // streaming generators hand back a *graph.CSR (flat or packed) and the run
-// never materializes adjacency-list form. The snapshot is installed as a
-// single-epoch static Topology, so Options.Topology must be nil. Parameter
-// estimates not overridden in opts are derived from the snapshot (N, a
-// double-BFS diameter approximation, the trivial α ≤ n bound), exactly as
-// Run derives them from g. Semantics, determinism, and the zero-alloc step
-// loop are identical to Run on FromCSR(csr) — packed snapshots included,
-// which the compact-adjacency engine tests pin against golden digests.
+// never materializes adjacency-list form. Without Options.Topology the
+// snapshot is installed as a single-epoch static topology; with one, the
+// topology's epochs drive delivery and the snapshot only supplies the node
+// count and the parameter estimates not overridden in opts (N, a
+// double-BFS diameter approximation, the trivial α ≤ n bound). Packed
+// snapshots run transcript-identically to flat ones, which the
+// compact-adjacency engine tests pin against golden digests.
 func RunCSR(csr *graph.CSR, factory Factory, opts Options) (Result, error) {
 	if csr == nil {
 		return Result{}, fmt.Errorf("radio: nil topology snapshot")
 	}
-	if opts.Topology != nil {
-		return Result{}, fmt.Errorf("radio: RunCSR installs the snapshot as the run's topology; Options.Topology must be nil")
+	if opts.Topology == nil {
+		opts.Topology = staticCSR{csr}
 	}
-	opts.Topology = staticCSR{csr}
-	return run(nil, csr.N(), csr.DiameterApprox, factory, opts)
+	return run(csr, factory, opts)
 }
 
 // staticCSR adapts one frozen snapshot to the Topology interface: a single
@@ -278,28 +277,27 @@ type staticCSR struct{ csr *graph.CSR }
 // EpochAt implements Topology.
 func (s staticCSR) EpochAt(step int) (*graph.CSR, int) { return s.csr, -1 }
 
-// run validates the options and runs the step loop; it is shared by Run and
-// RunCSR. g is nil on the graph-free path — the engine touches it only
-// through newEngine, which freezes it solely when no Topology is installed.
-func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory, opts Options) (Result, error) {
+// run validates the options and runs the step loop. csr supplies the node
+// count and the parameter estimates; opts.Topology (always set by RunCSR)
+// supplies the edges.
+func run(csr *graph.CSR, factory Factory, opts Options) (Result, error) {
 	if opts.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("radio: MaxSteps must be positive, got %d", opts.MaxSteps)
 	}
-	nodes, err := buildNodes(n, approxDiam, factory, opts)
+	n := csr.N()
+	nodes, err := buildNodes(n, csr.DiameterApprox, factory, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	if opts.WakeAt != nil && len(opts.WakeAt) != n {
 		return Result{}, fmt.Errorf("radio: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
 	}
-	if opts.Topology != nil {
-		csr, _ := opts.Topology.EpochAt(0)
-		if csr == nil {
-			return Result{}, fmt.Errorf("radio: Topology has no epoch at step 0")
-		}
-		if csr.N() != n {
-			return Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", csr.N(), n)
-		}
+	c0, _ := opts.Topology.EpochAt(0)
+	if c0 == nil {
+		return Result{}, fmt.Errorf("radio: Topology has no epoch at step 0")
+	}
+	if c0.N() != n {
+		return Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", c0.N(), n)
 	}
 	if opts.PHY == nil {
 		opts.PHY = phy.NewCollision()
@@ -314,7 +312,7 @@ func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory,
 			return Result{}, fmt.Errorf("radio: resume step %d outside [0, MaxSteps=%d)", cp.Step, opts.MaxSteps)
 		}
 	}
-	return runEngine(g, nodes, opts)
+	return runEngine(nodes, opts)
 }
 
 // awake reports whether node v participates at the given step.

@@ -17,11 +17,11 @@ import (
 func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Message, cd bool) ([]Message, StepStats) {
 	t.Helper()
 	n := g.N()
-	opts := Options{PHY: phy.NewCollision()}
+	opts := Options{PHY: phy.NewCollision(), Topology: staticCSR{g.Freeze()}}
 	if cd {
 		opts.PHY = phy.NewCollisionCD()
 	}
-	e, err := newEngine(g, make([]Protocol, n), opts)
+	e, err := newEngine(make([]Protocol, n), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

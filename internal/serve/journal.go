@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -233,26 +234,36 @@ func replayJournal(recs []journalRecord) ([]*recoveredJob, int) {
 		if j == nil {
 			continue
 		}
+		// A trial or checkpoint record naming no trial of the spec (a
+		// damaged line that still parsed) is dropped: it could only inflate
+		// the recovered progress count.
+		inRange := rec.Index >= 0 && rec.Index < j.spec.Reps
 		switch rec.Op {
 		case opTrial:
-			if rec.Sample != nil {
+			if rec.Sample != nil && inRange {
 				j.trials[rec.Index] = *rec.Sample
 			}
 		case opCkpt:
 			// Later checkpoints supersede earlier ones; a checkpoint for a
 			// trial that has since completed is dropped with it below.
-			j.ckptIdx, j.ckpt = rec.Index, rec.Ckpt
+			if rec.Ckpt != nil && inRange {
+				j.ckptIdx, j.ckpt = rec.Index, rec.Ckpt
+			}
 		case opDone:
-			j.state = JobDone
+			j.state, j.errMsg = JobDone, ""
 		case opFailed:
 			j.state, j.errMsg = JobFailed, rec.Error
 		}
 	}
+	// Terminal jobs need no recovery state; interrupted ones drop a
+	// checkpoint their trial outran. What is left is exactly what
+	// compactRecords writes back.
 	for _, j := range order {
-		if j.ckpt != nil {
-			if _, completed := j.trials[j.ckptIdx]; completed || j.state != JobQueued {
-				j.ckpt = nil
-			}
+		if j.state != JobQueued {
+			clear(j.trials)
+		}
+		if _, completed := j.trials[j.ckptIdx]; completed || j.state != JobQueued {
+			j.ckptIdx, j.ckpt = 0, nil
 		}
 	}
 	return order, maxSeq
@@ -272,11 +283,17 @@ func compactRecords(jobs []*recoveredJob) []journalRecord {
 		case JobFailed:
 			recs = append(recs, journalRecord{Op: opFailed, Job: j.id, Error: j.errMsg})
 		default:
-			for i := 0; i < j.spec.Reps; i++ {
-				if s, ok := j.trials[i]; ok {
-					sample := s
-					recs = append(recs, journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
-				}
+			// Ascending trial order over the recorded trials only: the
+			// spec's Reps comes from disk and may be damaged, so it must
+			// not bound a loop.
+			idx := make([]int, 0, len(j.trials))
+			for i := range j.trials {
+				idx = append(idx, i)
+			}
+			slices.Sort(idx)
+			for _, i := range idx {
+				sample := j.trials[i]
+				recs = append(recs, journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
 			}
 			if j.ckpt != nil {
 				recs = append(recs, journalRecord{Op: opCkpt, Job: j.id, Index: j.ckptIdx, Ckpt: j.ckpt})

@@ -116,34 +116,30 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 		parallel = 1
 	}
 	grid := exp.NewGrid(c.GridID())
-	tf := trialFunc(c)
-	hooked := c.Algo == "flood" &&
-		(o.OnCheckpoint != nil || o.Resume != nil || o.OnSnapshot != nil || o.OnProbe != nil || len(o.ResumeFrom) > 0)
-	for i := 0; i < c.Reps; i++ {
-		if !hooked {
-			grid.Add(c.Algo, tf)
-			continue
+	if c.Algo == "flood" {
+		for i := 0; i < c.Reps; i++ {
+			grid.Add(c.Algo, func(seed uint64) (exp.Sample, error) {
+				var onCkpt func(cp *exp.FloodCheckpoint) error
+				if o.OnCheckpoint != nil {
+					onCkpt = func(cp *exp.FloodCheckpoint) error { return o.OnCheckpoint(i, cp) }
+				}
+				var onSnap func(cp *exp.FloodCheckpoint)
+				if o.OnSnapshot != nil {
+					onSnap = func(cp *exp.FloodCheckpoint) { o.OnSnapshot(i, cp) }
+				}
+				var onProbe func(s *radio.ProbeSample)
+				if o.OnProbe != nil {
+					onProbe = func(s *radio.ProbeSample) { o.OnProbe(i, s) }
+				}
+				resume := o.ResumeFrom[i]
+				if o.Resume != nil && i == o.ResumeTrial {
+					resume = o.Resume
+				}
+				return floodTrial(c, seed, onCkpt, onSnap, onProbe, resume)
+			})
 		}
-		i := i
-		grid.Add(c.Algo, func(seed uint64) (exp.Sample, error) {
-			var onCkpt func(cp *exp.FloodCheckpoint) error
-			if o.OnCheckpoint != nil {
-				onCkpt = func(cp *exp.FloodCheckpoint) error { return o.OnCheckpoint(i, cp) }
-			}
-			var onSnap func(cp *exp.FloodCheckpoint)
-			if o.OnSnapshot != nil {
-				onSnap = func(cp *exp.FloodCheckpoint) { o.OnSnapshot(i, cp) }
-			}
-			var onProbe func(s *radio.ProbeSample)
-			if o.OnProbe != nil {
-				onProbe = func(s *radio.ProbeSample) { o.OnProbe(i, s) }
-			}
-			resume := o.ResumeFrom[i]
-			if o.Resume != nil && i == o.ResumeTrial {
-				resume = o.Resume
-			}
-			return floodTrial(c, seed, onCkpt, onSnap, onProbe, resume)
-		})
+	} else {
+		grid.AddReps(c.Algo, c.Reps, trialFunc(c))
 	}
 	samples, err := grid.Run(exp.Config{
 		Scale: exp.Quick, Seed: c.Seed, Parallel: parallel,
@@ -166,13 +162,10 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 	}, nil
 }
 
-// trialFunc builds the one-replica closure for a canonical spec. All
-// randomness derives from the trial seed, per the runner contract.
+// trialFunc builds the one-replica closure for a canonical non-flood spec.
+// All randomness derives from the trial seed, per the runner contract.
 func trialFunc(sp Spec) exp.TrialFunc {
 	return func(seed uint64) (exp.Sample, error) {
-		if sp.Algo == "flood" {
-			return floodTrial(sp, seed, nil, nil, nil, nil)
-		}
 		if _, _, isPhy := gen.SplitPhySpec(sp.Graph); isPhy {
 			return phyTrial(sp, seed)
 		}
@@ -311,8 +304,7 @@ func floodTrial(sp Spec, seed uint64, onCkpt func(cp *exp.FloodCheckpoint) error
 			resume = nil
 		}
 	}
-	g := sched.CSR(0).Graph()
-	out, err := exp.RunFlood(g, sched, map[int]int64{sp.Source % n: 1}, exp.FloodConfig{
+	out, err := exp.RunFlood(sched.CSR(0), sched, map[int]int64{sp.Source % n: 1}, exp.FloodConfig{
 		Budget: budget, ProbeStep: -1, Seed: seed, PHY: model,
 		OnCheckpoint: onCkpt, OnSnapshot: onSnap, Probe: onProbe, Resume: resume,
 	})

@@ -480,39 +480,47 @@ func (s *Service) simulate(ctx context.Context, raw Spec) (data []byte, hash str
 		return nil, hash, "", ErrBusy
 	}
 	defer s.syncPending.Add(-1)
-	// fromCache/viaPrefix are written only when this caller is the executor
-	// (the closure runs synchronously inside Do then), covering the race
-	// where an identical in-flight execution completed between the Get
-	// above and the flight registration: the response was really served
-	// from cache and must not be labeled a miss.
-	var fromCache, viaPrefix bool
-	flight := obs.StartSpan(ctx, s.log, "flight")
-	b, err, shared := s.sf.Do(hash, nil, func(report func(done, total int)) ([]byte, error) {
-		eb, hit, via, eerr := s.execute(ctx, sp, hash, report)
-		fromCache, viaPrefix = hit, via
-		return eb, eerr
-	})
-	flight.SetAttr("shared", shared)
-	flight.End()
-	// Count coalescing before the error check so the counter means the
-	// same thing ("waited on someone else's execution") on the sync and
-	// async paths, failures included.
-	if shared {
-		s.coalesced.Add(1)
-	}
+	b, status, err := s.flight(ctx, sp, hash, nil, ExecOptions{})
 	if err != nil {
 		return nil, hash, "", err
 	}
-	switch {
-	case shared:
-		return b, hash, StatusCoalesced, nil
-	case fromCache:
-		return b, hash, StatusHit, nil
-	case viaPrefix:
-		return b, hash, StatusPrefixHit, nil
-	default:
-		return b, hash, StatusMiss, nil
+	return b, hash, status, nil
+}
+
+// flight runs sp through the singleflight group keyed by hash: the first
+// caller executes with o, later identical callers wait and share its bytes
+// (StatusCoalesced). onProgress, when non-nil, sees trial progress whether
+// this caller executes or coalesces. This is the one road from a request —
+// sync or job — to an execution.
+func (s *Service) flight(ctx context.Context, sp Spec, hash string, onProgress func(done, total int), o ExecOptions) ([]byte, CacheStatus, error) {
+	// status is written only when this caller is the executor (the closure
+	// runs synchronously inside Do then), covering the race where an
+	// identical in-flight execution completed between the cache lookup and
+	// the flight registration: the response was really served from cache
+	// and must not be labeled a miss.
+	status := StatusMiss
+	span := obs.StartSpan(ctx, s.log, "flight")
+	b, err, shared := s.sf.Do(hash, onProgress, func(report func(done, total int)) ([]byte, error) {
+		o.OnTrial = report
+		eb, hit, via, eerr := s.execute(ctx, sp, hash, &o)
+		switch {
+		case hit:
+			status = StatusHit
+		case via:
+			status = StatusPrefixHit
+		}
+		return eb, eerr
+	})
+	span.SetAttr("shared", shared)
+	span.End()
+	// Count coalescing before the error check so the counter means the
+	// same thing ("waited on someone else's execution") for every caller,
+	// failures included.
+	if shared {
+		s.coalesced.Add(1)
+		status = StatusCoalesced
 	}
+	return b, status, err
 }
 
 // SimulateCtx is Simulate bounded by ctx (the per-request deadline). On
@@ -571,58 +579,60 @@ func (s *Service) storePut(hash string, b []byte) error {
 }
 
 // execute runs one simulation through the prefix-cache protocol and the
-// worker semaphore, publishing the result bytes to the store and cache;
-// fromCache reports that the result had already landed and nothing ran,
-// viaPrefix that the computation resumed from prefix snapshots. Callers
-// hold the singleflight slot for hash.
-func (s *Service) execute(ctx context.Context, sp Spec, hash string, onTrial func(done, total int)) (b []byte, fromCache, viaPrefix bool, err error) {
+// worker semaphore, publishing the result bytes to the store and cache.
+// o carries the caller's hooks — nil for a sync request, the journal and
+// cancellation hooks for a job (jobOptions); the service's own Parallel,
+// OnProbe and prefix hooks are filled in here. fromCache reports that the
+// result had already landed and nothing ran, viaPrefix that the
+// computation resumed from prefix snapshots. Callers hold the singleflight
+// slot for hash.
+func (s *Service) execute(ctx context.Context, sp Spec, hash string, o *ExecOptions) (b []byte, fromCache, viaPrefix bool, err error) {
 	return s.runPrefixed(sp, func(plan *prefixPlan) ([]byte, bool, error) {
-		return s.executeSlot(ctx, sp, hash, onTrial, plan)
-	})
-}
-
-// executeSlot is the slot-holding half of execute: re-check the caches,
-// then run with the prefix plan's resume snapshots (nil plan = cold).
-func (s *Service) executeSlot(ctx context.Context, sp Spec, hash string, onTrial func(done, total int), plan *prefixPlan) (b []byte, fromCache bool, err error) {
-	wait := obs.StartSpan(ctx, s.log, "slot.wait")
-	s.slots <- struct{}{}
-	wait.End()
-	defer func() { <-s.slots }()
-	// The result may have landed while this request waited in the queue or
-	// for a slot (e.g. a sync request computed the same spec) — serve it.
-	// peek, not Get: this internal re-check must not distort the stats.
-	if b, ok := s.cache.peek(hash); ok {
-		return b, true, nil
-	}
-	if b, ok := s.storeGet(hash); ok {
+		wait := obs.StartSpan(ctx, s.log, "slot.wait")
+		s.slots <- struct{}{}
+		wait.End()
+		defer func() { <-s.slots }()
+		// The result may have landed while this request waited in the queue
+		// or for a slot (e.g. a sync request computed the same spec) — serve
+		// it. peek, not Get: this internal re-check must not distort the
+		// stats.
+		if b, ok := s.cache.peek(hash); ok {
+			return b, true, nil
+		}
+		if b, ok := s.storeGet(hash); ok {
+			s.cache.Put(hash, b)
+			return b, true, nil
+		}
+		if hook := s.testHookExecuting; hook != nil {
+			hook(sp)
+		}
+		s.execs.Add(1)
+		var eo ExecOptions
+		if o != nil {
+			eo = *o
+		}
+		eo.Parallel, eo.OnProbe = s.cfg.Parallel, s.onProbe
+		s.armPrefix(sp, plan, &eo)
+		run := obs.StartSpan(ctx, s.log, "execute")
+		run.SetAttr("hash", hash)
+		res, err := ExecuteWith(sp, eo)
+		run.End()
+		if err != nil {
+			return nil, false, err
+		}
+		b, err := res.JSON()
+		if err != nil {
+			return nil, false, err
+		}
+		put := obs.StartSpan(ctx, s.log, "store.put")
+		err = s.storePut(hash, b)
+		put.End()
+		if err != nil {
+			return nil, false, err
+		}
 		s.cache.Put(hash, b)
-		return b, true, nil
-	}
-	if hook := s.testHookExecuting; hook != nil {
-		hook(sp)
-	}
-	s.execs.Add(1)
-	o := ExecOptions{Parallel: s.cfg.Parallel, OnTrial: onTrial, OnProbe: s.onProbe}
-	s.armPrefix(sp, plan, &o)
-	run := obs.StartSpan(ctx, s.log, "execute")
-	run.SetAttr("hash", hash)
-	res, err := ExecuteWith(sp, o)
-	run.End()
-	if err != nil {
-		return nil, false, err
-	}
-	b, err = res.JSON()
-	if err != nil {
-		return nil, false, err
-	}
-	put := obs.StartSpan(ctx, s.log, "store.put")
-	err = s.storePut(hash, b)
-	put.End()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.Put(hash, b)
-	return b, false, nil
+		return b, false, nil
+	})
 }
 
 // onProbe forwards engine probe samples (epoch boundaries + run ends) to
@@ -795,8 +805,9 @@ func (s *Service) runJob(j *job) {
 		slog.Duration("dur", time.Since(t0)), slog.String("error", lastErr.Error()))
 }
 
-// attemptJob runs one execution attempt through the singleflight group,
-// updating the job on success.
+// attemptJob runs one execution attempt through the flight, updating the
+// job on success. A cancelled run (kill, deadline) maps to errJournalFrozen
+// or ErrJobDeadline here, after the shared execution path returns.
 func (s *Service) attemptJob(ctx context.Context, j *job, deadline time.Time) error {
 	// The progress listener is attached whether this worker executes or
 	// coalesces onto an in-flight identical execution, so polling clients
@@ -811,14 +822,12 @@ func (s *Service) attemptJob(ctx context.Context, j *job, deadline time.Time) er
 			j.total = total
 		})
 	}
-	var fromCache bool
-	_, err, shared := s.sf.Do(j.hash, onProgress, func(report func(done, total int)) ([]byte, error) {
-		b, hit, _, eerr := s.executeJob(ctx, j, deadline, report)
-		fromCache = hit
-		return b, eerr
-	})
-	if shared {
-		s.coalesced.Add(1)
+	_, status, err := s.flight(ctx, j.spec, j.hash, onProgress, s.jobOptions(j, deadline))
+	if errors.Is(err, exp.ErrCancelled) {
+		if s.killed.Load() {
+			return errJournalFrozen
+		}
+		return fmt.Errorf("%w after %v", ErrJobDeadline, s.cfg.JobTimeout)
 	}
 	if err != nil {
 		return err
@@ -827,89 +836,37 @@ func (s *Service) attemptJob(ctx context.Context, j *job, deadline time.Time) er
 		j.state, j.done = JobDone, j.total
 		// The result may have landed (via a sync request for the same
 		// spec) while this job sat in the queue; keep CacheHit honest.
-		j.cacheHit = j.cacheHit || fromCache
+		j.cacheHit = j.cacheHit || status == StatusHit
 	})
 	return nil
 }
 
-// executeJob is execute with the job's crash-safety hooks attached:
-// journaled trial samples and flood checkpoints, recovered-trial prefill,
-// checkpoint resume, and cancellation (kill, deadline). Jobs ride the
-// prefix cache too — sweeps submitted async warm and consume the same
-// snapshot keyspace as sync requests.
-func (s *Service) executeJob(ctx context.Context, j *job, deadline time.Time, report func(done, total int)) ([]byte, bool, bool, error) {
-	return s.runPrefixed(j.spec, func(plan *prefixPlan) ([]byte, bool, error) {
-		return s.executeJobSlot(ctx, j, deadline, report, plan)
-	})
-}
-
-func (s *Service) executeJobSlot(ctx context.Context, j *job, deadline time.Time, report func(done, total int), plan *prefixPlan) ([]byte, bool, error) {
-	wait := obs.StartSpan(ctx, s.log, "slot.wait")
-	s.slots <- struct{}{}
-	wait.End()
-	defer func() { <-s.slots }()
-	if b, ok := s.cache.peek(j.hash); ok {
-		return b, true, nil
-	}
-	if b, ok := s.storeGet(j.hash); ok {
-		s.cache.Put(j.hash, b)
-		return b, true, nil
-	}
-	if hook := s.testHookExecuting; hook != nil {
-		hook(j.spec)
-	}
-	s.execs.Add(1)
+// jobOptions is what makes a job more than a sync request: recovered-trial
+// prefill, cancellation (kill, deadline) and, when durable, journaled trial
+// samples, flood checkpoints and checkpoint resume (DESIGN.md §8).
+func (s *Service) jobOptions(j *job, deadline time.Time) ExecOptions {
 	o := ExecOptions{
-		Parallel:  s.cfg.Parallel,
-		OnTrial:   report,
-		OnProbe:   s.onProbe,
 		Prefilled: j.recTrials,
 		Cancelled: func() bool {
 			return s.killed.Load() || (!deadline.IsZero() && time.Now().After(deadline))
 		},
 	}
-	s.armPrefix(j.spec, plan, &o)
-	if s.jr != nil {
-		o.OnSample = func(i int, smp exp.Sample) {
-			sample := smp
-			s.journalAppend(journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
-		}
-		o.OnCheckpoint = func(trial int, cp *exp.FloodCheckpoint) error {
-			// A checkpointed run must not outpace its journal: the append
-			// error aborts the run (and the chaos suite injects worker
-			// death here).
-			return s.jr.append(journalRecord{Op: opCkpt, Job: j.id, Index: trial, Ckpt: cp})
-		}
-		if j.ckpt != nil {
-			o.ResumeTrial, o.Resume = j.ckptTrial, j.ckpt
-		}
+	if s.jr == nil {
+		return o
 	}
-	run := obs.StartSpan(ctx, s.log, "execute")
-	run.SetAttr("job", j.id)
-	run.SetAttr("hash", j.hash)
-	res, err := ExecuteWith(j.spec, o)
-	run.End()
-	if err != nil {
-		if errors.Is(err, exp.ErrCancelled) {
-			if s.killed.Load() {
-				return nil, false, errJournalFrozen
-			}
-			return nil, false, fmt.Errorf("%w after %v", ErrJobDeadline, s.cfg.JobTimeout)
-		}
-		return nil, false, err
+	o.OnSample = func(i int, smp exp.Sample) {
+		sample := smp
+		s.journalAppend(journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
 	}
-	b, err := res.JSON()
-	if err != nil {
-		return nil, false, err
+	o.OnCheckpoint = func(trial int, cp *exp.FloodCheckpoint) error {
+		// A checkpointed run must not outpace its journal: the append error
+		// aborts the run (and the chaos suite injects worker death here).
+		return s.jr.append(journalRecord{Op: opCkpt, Job: j.id, Index: trial, Ckpt: cp})
 	}
-	put := obs.StartSpan(ctx, s.log, "store.put")
-	err = s.storePut(j.hash, b)
-	put.End()
-	if err != nil {
-		return nil, false, err
+	if j.ckpt != nil {
+		o.ResumeTrial, o.Resume = j.ckptTrial, j.ckpt
 	}
-	s.cache.Put(j.hash, b)
-	return b, false, nil
+	return o
 }
 
 // updateJob applies fn to j under the service lock.

@@ -167,8 +167,7 @@ func (s *Store) put(key string, data []byte, durable bool) error {
 	}
 	staged := f.Name()
 	cleanup := func() { f.Close(); os.Remove(staged) }
-	sum := sha256.Sum256(data)
-	if _, err := fmt.Fprintf(f, "%s%s\n", headerPrefix, hex.EncodeToString(sum[:])); err != nil {
+	if _, err := f.WriteString(entryHeader(data)); err != nil {
 		cleanup()
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
@@ -257,6 +256,13 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
+// entryHeader is the header line framing payload: the format version and
+// the payload's checksum.
+func entryHeader(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return headerPrefix + hex.EncodeToString(sum[:]) + "\n"
+}
+
 // parseEntry splits and verifies one entry file, returning the payload and
 // whether the checksum header matched.
 func parseEntry(raw []byte) ([]byte, bool) {
@@ -264,13 +270,8 @@ func parseEntry(raw []byte) ([]byte, bool) {
 	if nl < 0 {
 		return nil, false
 	}
-	header := string(raw[:nl])
 	payload := raw[nl+1:]
-	if len(header) != len(headerPrefix)+2*sha256.Size || header[:len(headerPrefix)] != headerPrefix {
-		return nil, false
-	}
-	sum := sha256.Sum256(payload)
-	if header[len(headerPrefix):] != hex.EncodeToString(sum[:]) {
+	if string(raw[:nl+1]) != entryHeader(payload) {
 		return nil, false
 	}
 	return payload, true

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -199,4 +202,41 @@ func TestFaultInjection(t *testing.T) {
 	if _, ok, err := s.Get(k); err != nil || !ok {
 		t.Fatalf("post-fault Get = %v %v", ok, err)
 	}
+}
+
+// FuzzStoreParseEntry feeds arbitrary bytes to the entry parser as a whole
+// file, and also frames them as a payload and then tears (truncates) and
+// bit-flips the framed entry. Nothing may panic; a file is accepted only
+// when its first line is exactly "v1 <sha256 of the rest>"; a framed
+// payload reads back unchanged; and no torn or bit-flipped entry is
+// accepted.
+func FuzzStoreParseEntry(f *testing.F) {
+	f.Add([]byte("precious result"), uint16(10), uint16(3))
+	f.Add([]byte(""), uint16(0), uint16(0))
+	f.Add([]byte("v1 0000\nnot a checksum"), uint16(70), uint16(543))
+	f.Add([]byte("line one\nline two\n"), uint16(67), uint16(536))
+	f.Fuzz(func(t *testing.T, raw []byte, cut, flip uint16) {
+		if payload, ok := parseEntry(raw); ok {
+			sum := sha256.Sum256(payload)
+			want := "v1 " + hex.EncodeToString(sum[:]) + "\n" + string(payload)
+			if string(raw) != want {
+				t.Fatalf("accepted %q, whose header does not frame its payload", raw)
+			}
+		}
+		framed := append([]byte(entryHeader(raw)), raw...)
+		got, ok := parseEntry(framed)
+		if !ok || !bytes.Equal(got, raw) {
+			t.Fatalf("framed payload %q read back as %q, ok=%v", raw, got, ok)
+		}
+		torn := framed[:int(cut)%len(framed)]
+		if _, ok := parseEntry(torn); ok {
+			t.Fatalf("torn entry %q accepted", torn)
+		}
+		bit := int(flip) % (8 * len(framed))
+		flipped := append([]byte(nil), framed...)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if _, ok := parseEntry(flipped); ok {
+			t.Fatalf("entry with bit %d flipped accepted", bit)
+		}
+	})
 }
